@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -34,10 +34,10 @@ from .ideals import (
     TailKind,
     UNKNOWN,
     Verdict,
-    block_index,
-    block_members,
+    block_mask,
     block_union,
     filter_membership,
+    frozen_mask,
     max_block_index,
     membership,
 )
@@ -162,23 +162,20 @@ def _a_eps_tail(
         while True:
             lo, hi = model.value_interval(jprobe)
             glo, ghi = _gap_interval(c, lo, hi)
-            zero = any(
-                model.value(j) == c for j in range(jprobe + 1, jprobe + 65)
-            )
+            zero = bool(np.any(
+                model.value(np.arange(jprobe + 1, jprobe + 65)) == c
+            ))
             status = gp.interval_status(glo, ghi, eps, zero_attainable=zero)
             if status != MIXED or jprobe >= cap:
                 break
             jprobe *= 2
         if status == MIXED:
             return TailCertificate.unknown()
-        offending = [
-            j for j in range(1, jprobe + 1)
-            if gp.offends(abs(model.value(j) - c), eps)
-        ]
+        gaps = np.abs(model.value(np.arange(1, jprobe + 1)) - c)
+        offends = gp.norm_of_gaps(gaps) >= eps
         if status == NONE:
-            return TailCertificate.block_bounded(offending)
-        quiet = [j for j in range(1, jprobe + 1) if j not in set(offending)]
-        return TailCertificate.block_cobounded(quiet)
+            return TailCertificate.block_bounded(np.flatnonzero(offends) + 1)
+        return TailCertificate.block_cobounded(np.flatnonzero(~offends) + 1)
 
     # RecurringTail
     offending_vals = [v for v in model.values if gp.offends(abs(v - c), eps)]
@@ -211,10 +208,9 @@ def a_epsilon_set(
     """A(eps) = {n : ||d(x_n, c)|| >= eps}: exact window, certified tail."""
     _require_eps(eps)
     c = _resolve_center(s, center)
-    mask = _window_mask(s, m, c, eps, n_max)
-    members = frozenset(int(i) + 1 for i in np.nonzero(mask)[0])
+    mask = frozen_mask(_window_mask(s, m, c, eps, n_max))
     tail = _a_eps_tail(s, m, c, eps, n_max)
-    return SetDescription(members, n_max, tail)
+    return SetDescription(mask, n_max, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def _universal_pair_floor(s: SequenceScenario, m: CstarMetric) -> Optional[float
 
 
 def _decision_from_tail(ideal: IdealDescriptor, tail: TailCertificate) -> Verdict:
-    return membership(ideal, SetDescription(frozenset(), 1, tail))
+    return membership(ideal, SetDescription((), 1, tail))
 
 
 def _block_center_case_split(
@@ -331,8 +327,8 @@ def _block_center_case_split(
             lo_cert = TailCertificate.block_bounded(far_offending)
             hi_cert = TailCertificate.block_bounded(far_offending + far_mixed)
         else:
-            quiet = [j for j in range(1, jprobe + 1)
-                     if j not in set(far_offending) | set(far_mixed)]
+            loud = set(far_offending) | set(far_mixed)
+            quiet = [j for j in range(1, jprobe + 1) if j not in loud]
             lo_cert = TailCertificate.block_cobounded(quiet + far_mixed)
             hi_cert = TailCertificate.block_cobounded(quiet)
         d_lo = _decision_from_tail(ideal, lo_cert)
@@ -439,6 +435,30 @@ def i_cauchy_def_verdict(
 # I-Cauchy: pair form
 
 
+def _least_below(envelope, target: float, cap: int) -> int:
+    """Least j >= 1 with envelope(j) < target, for a nonincreasing envelope.
+
+    Doubling brackets the answer, bisection pins it: O(log j) evaluations.
+    Raises DomainError when no j <= cap qualifies.
+    """
+    if envelope(1) < target:
+        return 1
+    lo, hi = 1, 2  # invariant: envelope(lo) >= target
+    while envelope(hi) >= target:
+        if hi > cap:
+            raise DomainError("block cut search diverged")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if envelope(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    if hi > cap:
+        raise DomainError("block cut search diverged")
+    return hi
+
+
 def _pair_status_over_interval(
     m: CstarMetric, lo: float, hi: float, eps: float, zero_attainable: bool
 ) -> str:
@@ -491,10 +511,7 @@ def i_cauchy_pair_verdict(
                 continue
             if d_set.tail.kind is not TailKind.FINITE:
                 continue
-            mask = np.zeros(n_max, dtype=bool)
-            for n in d_set.window:
-                mask[n - 1] = True
-            pts_off = pts[~mask]
+            pts_off = pts[~d_set.mask]
             lo, hi = _off_window_interval(s, pts_off, n_max)
             if _pair_status_over_interval(m, lo, hi, eps, not s.injective) == NONE:
                 return VerdictBundle(
@@ -508,12 +525,8 @@ def i_cauchy_pair_verdict(
         if ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR:
             # Cut rule: smallest J with envelope(J) < eps / (2 * scale);
             # off the first J blocks every pair norm stays below eps.
-            target = eps / (2.0 * gp.scale)
-            j_cut = 1
-            while model.envelope(j_cut) >= target:
-                j_cut += 1
-                if j_cut > 10 ** 9:
-                    raise DomainError("block cut search diverged")
+            j_cut = _least_below(model.envelope, eps / (2.0 * gp.scale),
+                                 10 ** 9)
             lo, hi = model.value_interval(j_cut)
             if _pair_status_over_interval(m, lo, hi, eps, True) == NONE:
                 d_set = block_union(range(1, j_cut + 1), n_max)
@@ -623,10 +636,9 @@ def i_cauchy_ek_verdict(
             s, m, ideal, eps, n_max
         )
         block_dec = {j: v.decision for j, v in block_verdicts.items()}
-        members: set[int] = set()
-        for j0, dec in block_dec.items():
-            if dec is NOT_IN and j0 <= max_block_index(n_max):
-                members.update(block_members(j0, n_max))
+        members = block_mask(
+            {j for j, dec in block_dec.items() if dec is NOT_IN}, n_max
+        )
         if any(dec is UNKNOWN for dec in block_dec.values()) or \
                 far_decision.decision is UNKNOWN:
             tail = TailCertificate.unknown()
@@ -638,7 +650,7 @@ def i_cauchy_ek_verdict(
             tail = TailCertificate.block_cobounded(
                 [j for j, dec in block_dec.items() if dec is not NOT_IN]
             )
-        k_set = SetDescription(frozenset(members), n_max, tail)
+        k_set = SetDescription(members, n_max, tail)
         v = membership(ideal, k_set)
         return VerdictBundle(
             Question.ICAUCHY_EK, eps, v, witness_set=k_set,
@@ -660,29 +672,30 @@ def i_cauchy_ek_verdict(
         if s.injective:
             zero = np.zeros(n_max, dtype=bool)
         else:
+            values, where = np.unique(pts, return_inverse=True)
             zero = np.array(
-                [s.tail_hits(float(p), n_max) for p in pts], dtype=bool
-            )
+                [s.tail_hits(float(p), n_max) for p in values], dtype=bool
+            )[where]
         codes = _interval_status_vec(gp, glo, ghi, eps, zero)
-        decisions = np.empty(n_max, dtype=object)
-        for code, tail in ((0, TailCertificate.finite()),
-                           (1, TailCertificate.cofinite()),
-                           (2, TailCertificate.unknown())):
-            idx = codes == code
-            if np.any(idx):
-                dec = membership(
-                    ideal, SetDescription(frozenset(), 1, tail)
-                ).decision
-                decisions[idx] = dec
-        members = frozenset(
-            int(i) + 1 for i in np.nonzero(decisions == NOT_IN)[0]
-        )
-        unknown_count = int(np.sum(decisions == UNKNOWN))
+        counts = np.bincount(codes, minlength=3)
+        code_dec = {
+            code: _decision_from_tail(ideal, tail).decision
+            for code, tail in ((0, TailCertificate.finite()),
+                               (1, TailCertificate.cofinite()),
+                               (2, TailCertificate.unknown()))
+            if counts[code]
+        }
+        members = frozen_mask(np.isin(
+            codes, [code for code, dec in code_dec.items() if dec is NOT_IN]
+        ))
+        unknown_count = int(sum(
+            counts[code] for code, dec in code_dec.items() if dec is UNKNOWN
+        ))
         # Tail of K: centers beyond the window also sit in [lo, hi].
         far_status = _pair_status_over_interval(m, lo, hi, eps, not s.injective)
         far_dec = membership(
             ideal,
-            SetDescription(frozenset(), 1, _ek_tail_kind_from_status(
+            SetDescription((), 1, _ek_tail_kind_from_status(
                 _STATUS_CODE[far_status]))
         ).decision
         if far_dec is IN:
@@ -706,12 +719,10 @@ def i_cauchy_ek_verdict(
     value_dec = {}
     for v0 in model.values:
         tail = _a_eps_tail(s, m, v0, eps, n_max)
-        value_dec[v0] = membership(
-            ideal, SetDescription(frozenset(), 1, tail)
-        ).decision
-    members = frozenset(
-        int(i) + 1 for i, p in enumerate(pts) if value_dec.get(float(p)) is NOT_IN
-    )
+        value_dec[v0] = _decision_from_tail(ideal, tail).decision
+    members = frozen_mask(np.isin(
+        pts, [v0 for v0, dec in value_dec.items() if dec is NOT_IN]
+    ))
     decs = set(value_dec.values())
     if decs == {NOT_IN}:
         tail = TailCertificate.cofinite()
@@ -1241,9 +1252,9 @@ def _implication_row(s, ideal, m, eps, n_max) -> dict:
 def _proof_inclusion_holds(s, m, a_set: SetDescription, eps, n_max) -> bool:
     """The inclusion used in the convergence-implies-Cauchy proof:
     B(2 eps) about the first center off A(eps) sits inside A(eps)."""
-    off = sorted(set(range(1, n_max + 1)) - a_set.window)
-    if not off:
+    off = np.flatnonzero(~a_set.mask)
+    if not off.size:
         return True
-    n0 = off[0]
+    n0 = int(off[0]) + 1
     b_set = a_epsilon_set(s, m, Index(n0), 2.0 * eps, n_max)
-    return b_set.window <= a_set.window
+    return not np.any(b_set.mask & ~a_set.mask)

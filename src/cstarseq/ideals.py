@@ -2,6 +2,10 @@
 
 Subsets of N are represented at desk scale as a finite window over
 ``[1..N]`` plus a *tail certificate* describing the set beyond the window.
+The window is a read-only numpy bool mask of length N (``mask[n - 1]`` says
+whether n is a member), so building a set, complement, union, intersection
+and difference are vector operations, linear in N with no Python loop over
+the members; ``SetDescription.window`` gives the members as a frozenset.
 Ideal membership is decided three-valued (In / NotIn / Unknown) from the
 certificate alone, so every In/NotIn answer names the rule that justifies
 it and Unknown is the honest fallback when the window cannot decide.
@@ -25,8 +29,10 @@ Certificate semantics (all "up to a finite symmetric difference"):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedOperationError
 
@@ -35,8 +41,15 @@ from .errors import DomainError, PreconditionError, UnsupportedOperationError
 # Dyadic block partition
 
 
-def block_index(n: int) -> int:
-    """The unique j with n in Delta_j: trailing binary zeros of n, plus 1."""
+def block_index(n):
+    """The unique j with n in Delta_j: trailing binary zeros of n, plus 1.
+
+    Takes an int, or an int64 array elementwise."""
+    if isinstance(n, np.ndarray):
+        if np.any(n < 1):
+            raise DomainError("block_index requires n >= 1")
+        # n & -n is 2^(j-1); frexp writes it as 0.5 * 2^j, exactly.
+        return np.frexp(n & -n)[1].astype(np.int64)
     if n < 1:
         raise DomainError("block_index requires n >= 1")
     return (n & -n).bit_length()
@@ -54,6 +67,25 @@ def block_members(j: int, n_max: int) -> list[int]:
 def max_block_index(n_max: int) -> int:
     """Largest j whose block meets [1..n_max]."""
     return int(n_max).bit_length()
+
+
+def block_mask(js, n_max: int) -> np.ndarray:
+    """Bool mask over [1..n_max] of the union of the blocks Delta_j, j in js.
+
+    Only the blocks that meet the window are filled, so the cost is linear
+    in n_max whatever the number of blocks in ``js``."""
+    mask = np.zeros(max(n_max, 0), dtype=bool)
+    for j in range(1, max_block_index(n_max) + 1):
+        if j in js:
+            mask[(1 << (j - 1)) - 1::1 << j] = True
+    return frozen_mask(mask)
+
+
+def frozen_mask(mask: np.ndarray) -> np.ndarray:
+    """Mark a freshly built bool array read-only and return it, so that
+    SetDescription shares it instead of copying it."""
+    mask.setflags(write=False)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +117,14 @@ class TailCertificate:
 
     @staticmethod
     def block_bounded(blocks: Iterable[int]) -> "TailCertificate":
-        js = frozenset(int(j) for j in blocks)
+        js = _block_set(blocks)
         if not js:
             return TailCertificate(TailKind.FINITE)
         return TailCertificate(TailKind.BLOCK_BOUNDED, js)
 
     @staticmethod
     def block_cobounded(blocks: Iterable[int]) -> "TailCertificate":
-        js = frozenset(int(j) for j in blocks)
+        js = _block_set(blocks)
         if not js:
             return TailCertificate(TailKind.COFINITE)
         return TailCertificate(TailKind.BLOCK_COBOUNDED, js)
@@ -125,45 +157,107 @@ class TailCertificate:
         return {"kind": self.kind.value, "blocks": sorted(self.blocks)}
 
 
-@dataclass(frozen=True)
+def _block_set(blocks) -> frozenset:
+    """Block indices as a frozenset of Python ints.  A range, a frozenset of
+    ints or an integer array is taken without a per-element Python loop."""
+    if isinstance(blocks, np.ndarray):
+        return frozenset(blocks.tolist())
+    if isinstance(blocks, (range, frozenset)):
+        return frozenset(blocks)
+    return frozenset(int(j) for j in blocks)
+
+
 class SetDescription:
-    """A subset of N: exact window over [1..size] plus a tail certificate."""
+    """A subset of N: exact window over [1..size] plus a tail certificate.
 
-    window: frozenset
-    size: int
-    tail: TailCertificate
+    ``window`` is either an iterable of members, each in [1..size], or a bool
+    mask of shape ``(size,)``.  The window is kept as the read-only bool array
+    ``mask``; a writable mask passed in is copied, a read-only one is shared.
+    Instances are immutable values: equal sets compare and hash equal.
+    """
 
-    def __post_init__(self):
-        if self.size < 1:
+    __slots__ = ("mask", "size", "tail")
+
+    def __init__(self, window, size: int, tail: TailCertificate):
+        if size < 1:
             raise DomainError("window size must be >= 1")
-        bad = [n for n in self.window if not (1 <= n <= self.size)]
-        if bad:
-            raise DomainError(f"window members outside [1..{self.size}]: {bad[:5]}")
+        if isinstance(window, np.ndarray) and window.dtype == bool:
+            if window.shape != (size,):
+                raise DomainError(
+                    f"window mask has shape {window.shape}, not ({size},)"
+                )
+            mask = window
+            if mask.flags.writeable:
+                mask = frozen_mask(mask.copy())
+        else:
+            try:
+                members = np.fromiter(window, dtype=np.int64)
+            except OverflowError:
+                raise DomainError(
+                    f"window members outside [1..{size}]"
+                ) from None
+            bad = members[(members < 1) | (members > size)]
+            if bad.size:
+                raise DomainError(
+                    f"window members outside [1..{size}]: {bad[:5].tolist()}"
+                )
+            mask = np.zeros(size, dtype=bool)
+            mask[members - 1] = True
+            frozen_mask(mask)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "tail", tail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SetDescription is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return SetDescription, (self.mask, self.size, self.tail)
+
+    @property
+    def window(self) -> frozenset:
+        """The window members as a frozenset of ints."""
+        return frozenset((np.flatnonzero(self.mask) + 1).tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SetDescription):
+            return NotImplemented
+        return (self.size == other.size and self.tail == other.tail
+                and np.array_equal(self.mask, other.mask))
+
+    def __hash__(self):
+        return hash((self.size, self.tail, self.mask.tobytes()))
+
+    def __repr__(self):
+        return (f"SetDescription(window={_mask_runs(self.mask)}, "
+                f"size={self.size}, tail={self.tail!r})")
 
     @staticmethod
     def from_members(members: Iterable[int], size: int,
                      tail: TailCertificate) -> "SetDescription":
-        return SetDescription(frozenset(int(n) for n in members), size, tail)
+        return SetDescription(members, size, tail)
 
     @staticmethod
     def empty(size: int) -> "SetDescription":
-        return SetDescription(frozenset(), size, TailCertificate.finite())
+        return SetDescription((), size, TailCertificate.finite())
 
     @staticmethod
     def full(size: int) -> "SetDescription":
         return SetDescription(
-            frozenset(range(1, size + 1)), size, TailCertificate.cofinite()
+            frozen_mask(np.ones(max(size, 0), dtype=bool)), size,
+            TailCertificate.cofinite(),
         )
 
     def complement(self) -> "SetDescription":
-        window = frozenset(range(1, self.size + 1)) - self.window
-        return SetDescription(window, self.size, self.tail.complement())
+        return SetDescription(
+            frozen_mask(~self.mask), self.size, self.tail.complement()
+        )
 
     def union(self, other: "SetDescription") -> "SetDescription":
         if self.size != other.size:
             raise DomainError("window sizes differ")
         return SetDescription(
-            self.window | other.window,
+            frozen_mask(self.mask | other.mask),
             self.size,
             _union_tail(self.tail, other.tail),
         )
@@ -172,7 +266,7 @@ class SetDescription:
         if self.size != other.size:
             raise DomainError("window sizes differ")
         return SetDescription(
-            self.window & other.window,
+            frozen_mask(self.mask & other.mask),
             self.size,
             _intersection_tail(self.tail, other.tail),
         )
@@ -182,10 +276,16 @@ class SetDescription:
 
     def to_json(self):
         return {
-            "window": run_length_encode(self.window),
+            "window": _mask_runs(self.mask),
             "size": self.size,
             "tail": self.tail.to_json(),
         }
+
+
+def _mask_runs(mask: np.ndarray) -> list[list[int]]:
+    """Members of a window mask as inclusive [start, end] intervals."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return np.column_stack((edges[0::2] + 1, edges[1::2])).tolist()
 
 
 def run_length_encode(members: Iterable[int]) -> list[list[int]]:
@@ -243,19 +343,14 @@ def _intersection_tail(a: TailCertificate, b: TailCertificate) -> TailCertificat
 
 def block_elements(j: int, n_max: int) -> SetDescription:
     """Delta_j as a set description with a single-block certificate."""
-    return SetDescription.from_members(
-        block_members(j, n_max), n_max, TailCertificate.block_bounded([j])
-    )
+    return block_union([j], n_max)
 
 
 def block_union(js: Iterable[int], n_max: int) -> SetDescription:
-    js = sorted(set(int(j) for j in js))
-    members: set[int] = set()
-    for j in js:
-        members.update(block_members(j, n_max))
-    return SetDescription.from_members(
-        members, n_max, TailCertificate.block_bounded(js)
-    )
+    tail = TailCertificate.block_bounded(js)
+    if tail.blocks and min(tail.blocks) < 1:
+        raise DomainError("block indices must be >= 1")
+    return SetDescription(block_mask(tail.blocks, n_max), n_max, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ sequences and the alternating sequence (-1)^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -71,23 +71,31 @@ TailModel = Union[ConvergentTail, BlockTail, RecurringTail]
 
 @dataclass(frozen=True, eq=False)
 class SequenceScenario:
+    """A named sequence x_1, x_2, ... with its tail analytics.
+
+    ``generator`` maps an index n to x_n.  It takes an int and returns a
+    float, and it takes an int64 array and returns the float array of the
+    points, elementwise, so a window is enumerated in one array call.
+    """
+
     name: str
     generator: Callable[[int], float]
     tail_model: Optional[TailModel]
     point_bounds: tuple               # (lo, hi) containing every x_n
     injective: bool
     nominal_limit: Optional[float] = None
+    points_cache: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     def points(self, n_max: int) -> np.ndarray:
-        """x_1..x_N as an array (cached per scenario name and window)."""
-        key = (self.name, n_max)
-        cached = _POINTS_CACHE.get(key)
+        """x_1..x_N as a read-only array (cached on this scenario)."""
+        cached = self.points_cache.get(n_max)
         if cached is None:
-            cached = np.array(
-                [self.generator(n) for n in range(1, n_max + 1)], dtype=float
+            cached = np.asarray(
+                self.generator(np.arange(1, n_max + 1)), dtype=float
             )
             cached.setflags(write=False)
-            _POINTS_CACHE[key] = cached
+            self.points_cache[n_max] = cached
         return cached
 
     def tail_hits(self, c: float, n_max: int) -> bool:
@@ -118,9 +126,6 @@ class SequenceScenario:
 
     def __hash__(self):
         return hash(self.name)
-
-
-_POINTS_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,7 @@ def make_constant(value: float) -> SequenceScenario:
     v = float(value)
     return SequenceScenario(
         name=f"constant:{v:g}",
-        generator=lambda n: v,
+        generator=lambda n: np.full(np.shape(n), v) if np.ndim(n) else v,
         tail_model=ConvergentTail(limit=v, envelope=lambda n: 0.0),
         point_bounds=(v, v),
         injective=False,
@@ -173,7 +178,7 @@ def make_constant(value: float) -> SequenceScenario:
 def make_alternating() -> SequenceScenario:
     return SequenceScenario(
         name="alternating",
-        generator=lambda n: -1.0 if n % 2 else 1.0,
+        generator=lambda n: 1.0 - 2.0 * (n % 2),
         tail_model=RecurringTail(values=(-1.0, 1.0)),
         point_bounds=(-1.0, 1.0),
         injective=False,

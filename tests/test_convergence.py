@@ -42,8 +42,11 @@ from cstarseq.metrics import (
     make_discrete_metric,
     make_reciprocal_function_metric,
     make_scaled_function_metric,
+    metric_by_name,
 )
 from cstarseq.sequences import (
+    BlockTail,
+    SequenceScenario,
     make_alternating,
     make_block_harmonic,
     make_constant,
@@ -137,6 +140,17 @@ class TestIConvergence:
         assert i_convergence_verdict(
             BLOCK_SEQ, m, 0.0, FIN, 0.5, 1024).decision is Decision.NOT_IN
 
+    def test_near_equal_constants_do_not_share_points(self):
+        # make_constant names both constants "constant:1" ({v:g}); points
+        # cached under that name would make every index of the second
+        # sequence offend at eps = 5e-8.
+        make_constant(1.0).points(64)
+        s = make_constant(1.0000001)
+        b = i_convergence_verdict(s, metric_by_name("diag"), 1.0000001, FIN,
+                                  5e-8, 64)
+        assert b.witness_set.window == frozenset()
+        assert b.decision is Decision.IN
+
     def test_constant_sequence(self):
         m = make_diag_metric(2.0)
         s = make_constant(3.0)
@@ -200,6 +214,46 @@ class TestICauchyPair:
         assert b.cut_index == 21
         assert b.witness_set.window == block_union(range(1, 22), 8192).window
 
+    @pytest.mark.parametrize("eps, cut", [
+        (0.2, 21), (0.1, 41), (0.01, 401), (1e-5, 400001),
+        # 1/16 == eps / 4 exactly, so 16 misses the strict bound: J = 17.
+        (0.25, 17),
+    ])
+    def test_block_cut_index(self, eps, cut):
+        # Least J with 1/J < eps / (2 * scale), scale 2, found here by a
+        # scan up from just below 4/eps.
+        j = max(1, int(4.0 / eps) - 2)
+        while not 1.0 / j < eps / 4.0:
+            j += 1
+        assert j == cut
+        m = make_scaled_function_metric(default_function_f(2.0, 64))
+        b = i_cauchy_pair_verdict(BLOCK_SEQ, m, BLK, eps, 1024)
+        assert b.decision is Decision.IN
+        assert b.cut_index == cut
+        assert b.witness_set.tail.blocks == frozenset(range(1, cut + 1))
+
+    def test_block_cut_search_is_logarithmic(self):
+        calls = []
+
+        def envelope(j):
+            calls.append(j)
+            return 1.0 / j
+
+        s = _block_harmonic_with_envelope(envelope)
+        m = make_scaled_function_metric(default_function_f(2.0, 64))
+        b = i_cauchy_pair_verdict(s, m, BLK, 1e-5, 256)
+        assert b.cut_index == 400001
+        # Doubling to 2^19 and bisecting below it: about 2 log2(J) calls,
+        # where a linear scan makes J.
+        assert len(calls) <= 2 * (400001).bit_length() + 2
+
+    def test_block_cut_search_guard(self):
+        # An envelope that never drops below eps / (2 * scale) has no cut.
+        s = _block_harmonic_with_envelope(lambda j: 1.0)
+        m = make_scaled_function_metric(default_function_f(2.0, 64))
+        with pytest.raises(DomainError):
+            i_cauchy_pair_verdict(s, m, BLK, 0.1, 256)
+
     def test_pair_witness_really_works(self):
         # Off D = blocks 1..21, every index has block >= 22 and the value
         # 1/j sits in (0, 1/22]; the worst pair norm is below eps.
@@ -227,6 +281,23 @@ class TestICauchyPair:
         m = make_reciprocal_function_metric(default_function_f(2.0, 64))
         b = i_cauchy_pair_verdict(HARMONIC, m, FIN, 0.5, 512)
         assert b.decision is Decision.NOT_IN
+
+
+def _block_harmonic_with_envelope(envelope) -> SequenceScenario:
+    """Block-harmonic with a caller-supplied envelope for the block values."""
+    return SequenceScenario(
+        name="block-harmonic",
+        generator=BLOCK_SEQ.generator,
+        tail_model=BlockTail(
+            value=lambda j: 1.0 / j,
+            limit=0.0,
+            envelope=envelope,
+            value_interval=lambda j: (0.0, 1.0 / (j + 1)),
+        ),
+        point_bounds=(0.0, 1.0),
+        injective=False,
+        nominal_limit=0.0,
+    )
 
 
 class TestICauchyEk:

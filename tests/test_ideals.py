@@ -1,5 +1,6 @@
 """Ideal layer: block partition, certificates, set algebra, membership."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,61 @@ class TestSetAlgebra:
         d = block_union([1, 2], 16)
         assert d.window == frozenset({1, 3, 5, 7, 9, 11, 13, 15, 2, 6, 10, 14})
         assert d.tail.kind is TailKind.BLOCK_BOUNDED
+
+
+@st.composite
+def window_pairs(draw):
+    """A window size and two member sets inside it."""
+    size = draw(st.integers(1, 200))
+    members = st.sets(st.integers(1, size))
+    return size, draw(members), draw(members)
+
+
+class TestMaskSetOps:
+    """Mask-backed windows against a frozenset reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(window_pairs(), tail_strategy, tail_strategy)
+    def test_ops_match_frozenset_reference(self, pair, ta, tb):
+        size, wa, wb = pair
+        a = SetDescription(frozenset(wa), size, ta)
+        b = SetDescription(frozenset(wb), size, tb)
+        everything = frozenset(range(1, size + 1))
+        assert a.window == wa
+        assert a.union(b).window == wa | wb
+        assert a.intersection(b).window == wa & wb
+        assert a.complement().window == everything - wa
+        assert a.minus(b).window == wa - wb
+        assert a.to_json()["window"] == run_length_encode(wa)
+        assert a.to_json()["size"] == size
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_pairs(), tail_strategy)
+    def test_mask_and_members_build_the_same_value(self, pair, t):
+        size, w, _ = pair
+        mask = np.zeros(size, dtype=bool)
+        mask[[n - 1 for n in w]] = True
+        by_mask = SetDescription(mask, size, t)
+        by_members = SetDescription(frozenset(w), size, t)
+        assert by_mask == by_members
+        assert hash(by_mask) == hash(by_members)
+        # The set keeps its own copy of a writable mask.
+        mask[:] = ~mask
+        assert by_mask.window == w
+        assert not by_mask.mask.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(31,), (33,), (4, 8), ()])
+    def test_wrong_shape_mask_rejected(self, shape):
+        with pytest.raises(DomainError):
+            SetDescription(np.zeros(shape, dtype=bool), 32,
+                           TailCertificate.finite())
+
+    def test_sets_are_immutable(self):
+        s = SetDescription.full(8)
+        with pytest.raises(ValueError):
+            s.mask[0] = False
+        with pytest.raises(AttributeError):
+            s.size = 9
 
 
 class TestMembership:

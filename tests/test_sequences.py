@@ -43,6 +43,27 @@ class TestGenerators:
         with pytest.raises(ValueError):
             p1[0] = 5.0
 
+    @pytest.mark.parametrize("make", [make_harmonic, make_block_harmonic,
+                                      make_alternating,
+                                      lambda: make_constant(-0.75)])
+    def test_array_call_matches_scalar_calls(self, make):
+        s = make()
+        scalar = [s.generator(n) for n in range(1, 301)]
+        assert all(type(x) is float for x in scalar)
+        assert s.points(300).tolist() == scalar
+
+    def test_block_index_on_arrays(self):
+        n = np.arange(1, 5000, dtype=np.int64)
+        assert block_index(n).tolist() == [block_index(int(k)) for k in n]
+        with pytest.raises(DomainError):
+            block_index(np.array([3, 0]))
+
+    def test_points_cache_belongs_to_the_scenario(self):
+        a, b = make_constant(1.0), make_constant(1.0000001)
+        assert a.name == b.name
+        assert a.points(8)[0] == 1.0
+        assert b.points(8)[0] == 1.0000001
+
 
 class TestTailModels:
     def test_harmonic_envelope_sound(self):
