@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -264,9 +264,6 @@ class Spectrum:
 
     values: tuple
     is_real: tuple
-
-    def min_real(self) -> float:
-        return min(v.real for v in self.values)
 
     def all_real(self) -> bool:
         return all(self.is_real)

@@ -10,7 +10,9 @@ certificate applies.
 The engines cover I-convergence, the three equivalent I-Cauchy criteria
 (definition, pair form, E_k form), I*-Cauchy / I*-convergence against an
 explicit filter witness, the AP-based I*-witness construction, and the
-block-partition counterexample and implication audits.
+block-partition counterexample and implication audits.  Each engine is one
+body over the tail-model protocol of ``sequences``: it never asks which
+model a scenario carries.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -34,20 +37,16 @@ from .ideals import (
     TailKind,
     UNKNOWN,
     Verdict,
-    block_mask,
+    _union_tail,
+    ap_lemma_witness,
     block_union,
     filter_membership,
     frozen_mask,
-    max_block_index,
     membership,
+    tail_membership,
 )
-from .metrics import ALL, CstarMetric, GapKind, MIXED, NONE, distance_norm
-from .sequences import (
-    BlockTail,
-    ConvergentTail,
-    RecurringTail,
-    SequenceScenario,
-)
+from .metrics import CstarMetric, GapKind, distance_norm
+from .sequences import CenterClass, SequenceScenario, make_block_harmonic
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,6 @@ class Question(enum.Enum):
     ICAUCHY_EK = "i_cauchy_ek"
     ISTAR_CAUCHY = "i_star_cauchy"
     ISTAR_CONV = "i_star_convergence"
-    NORM_CONV = "norm_convergence"
 
 
 @dataclass(frozen=True)
@@ -120,82 +118,8 @@ def _resolve_center(s: SequenceScenario, center: Center) -> float:
     return float(s.generator(center.n))
 
 
-def _gap_interval(c: float, lo: float, hi: float) -> tuple:
-    """Bounds on |p - c| over p in [lo, hi]."""
-    if lo <= c <= hi:
-        glo = 0.0
-    else:
-        glo = lo - c if c < lo else c - hi
-    return glo, max(abs(c - lo), abs(c - hi))
-
-
 # ---------------------------------------------------------------------------
-# Tail certification for A(eps) sets
-
-
-def _a_eps_tail(
-    s: SequenceScenario, m: CstarMetric, c: float, eps: float, n_max: int
-) -> TailCertificate:
-    """Certificate for {n > N : ||d(x_n, c)|| >= eps}."""
-    gp = m.gap_profile
-    model = s.tail_model
-    if gp is None or model is None:
-        return TailCertificate.unknown()
-
-    if isinstance(model, ConvergentTail):
-        lo, hi = model.interval(n_max)
-        glo, ghi = _gap_interval(c, lo, hi)
-        zero = s.tail_hits(c, n_max)
-        status = gp.interval_status(glo, ghi, eps, zero_attainable=zero)
-        if status == NONE:
-            return TailCertificate.finite()
-        if status == ALL:
-            return TailCertificate.cofinite()
-        return TailCertificate.unknown()
-
-    if isinstance(model, BlockTail):
-        # Deepen the probe while the far-block interval stays ambiguous;
-        # the interval shrinks toward the limit, so the status stabilizes
-        # unless the gap norm sits exactly on the eps boundary.
-        jprobe = max(max_block_index(n_max), 64)
-        cap = 1 << 20
-        while True:
-            lo, hi = model.value_interval(jprobe)
-            glo, ghi = _gap_interval(c, lo, hi)
-            zero = bool(np.any(
-                model.value(np.arange(jprobe + 1, jprobe + 65)) == c
-            ))
-            status = gp.interval_status(glo, ghi, eps, zero_attainable=zero)
-            if status != MIXED or jprobe >= cap:
-                break
-            jprobe *= 2
-        if status == MIXED:
-            return TailCertificate.unknown()
-        gaps = np.abs(model.value(np.arange(1, jprobe + 1)) - c)
-        offends = gp.norm_of_gaps(gaps) >= eps
-        if status == NONE:
-            return TailCertificate.block_bounded(np.flatnonzero(offends) + 1)
-        return TailCertificate.block_cobounded(np.flatnonzero(~offends) + 1)
-
-    # RecurringTail
-    offending_vals = [v for v in model.values if gp.offends(abs(v - c), eps)]
-    if not offending_vals:
-        return TailCertificate.finite()
-    if len(offending_vals) == len(model.values):
-        return TailCertificate.cofinite()
-    return TailCertificate.infinite()
-
-
-def _window_mask(
-    s: SequenceScenario, m: CstarMetric, c: float, eps: float, n_max: int
-) -> np.ndarray:
-    gp = m.gap_profile
-    pts = s.points(n_max)
-    if gp is not None:
-        return gp.norm_of_gaps(np.abs(pts - c)) >= eps
-    return np.array(
-        [distance_norm(m, float(p), c) >= eps for p in pts], dtype=bool
-    )
+# A(eps) sets
 
 
 def a_epsilon_set(
@@ -208,9 +132,16 @@ def a_epsilon_set(
     """A(eps) = {n : ||d(x_n, c)|| >= eps}: exact window, certified tail."""
     _require_eps(eps)
     c = _resolve_center(s, center)
-    mask = frozen_mask(_window_mask(s, m, c, eps, n_max))
-    tail = _a_eps_tail(s, m, c, eps, n_max)
-    return SetDescription(mask, n_max, tail)
+    gp = m.gap_profile
+    if gp is None:
+        mask = np.array([distance_norm(m, float(p), c) >= eps
+                         for p in s.points(n_max)], dtype=bool)
+        tail = TailCertificate.unknown()
+    else:
+        mask = s.offenders(gp, c, eps, n_max)
+        tail = (TailCertificate.unknown() if s.tail_model is None
+                else s.tail_model.offence_tail(s, gp, c, eps, n_max))
+    return SetDescription(frozen_mask(mask), n_max, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -244,100 +175,25 @@ def i_convergence_verdict(
 def _center_schedule(
     s: SequenceScenario, m: CstarMetric, eps: float, n_max: int
 ) -> list[int]:
-    """Deterministic candidate centers: the analytically suggested index
-    first, then powers of two up to the window."""
-    suggested: list[int] = []
-    gp = m.gap_profile
-    model = s.tail_model
-    if gp is not None and isinstance(model, ConvergentTail):
-        pts = s.points(n_max)
-        good = gp.norm_of_gaps(np.abs(pts - model.limit)) < eps
-        hits = np.nonzero(good)[0]
-        if hits.size:
-            suggested.append(int(hits[0]) + 1)
-    powers = []
-    p = 1
-    while p <= n_max:
-        powers.append(p)
-        p *= 2
-    out: list[int] = []
-    for n in suggested + powers:
-        if n not in out:
-            out.append(n)
-    return out
+    """The candidate centers of a convergent tail, in the order the
+    definition form tries them (``ConvergentTail.schedule``)."""
+    return s.tail_model.schedule(s, m.gap_profile, eps, n_max)
 
 
-def _universal_pair_floor(s: SequenceScenario, m: CstarMetric) -> Optional[float]:
-    """A lower bound on ||d(x_m, x_n)|| over all pairs of *distinct points*
-    of the scenario, when the gap profile admits one."""
-    gp = m.gap_profile
-    if gp is None:
-        return None
-    lo, hi = s.point_bounds
-    diam = hi - lo
-    if gp.kind is GapKind.RECIPROCAL:
-        return math.inf if diam == 0.0 else gp.scale / diam
-    if gp.kind is GapKind.DISCRETE:
-        return gp.scale
-    return None  # linear norms vanish on nearby points
+def _class_verdict(ideal: IdealDescriptor, cls: CenterClass) -> Verdict:
+    """The decision every offence tail of the class gives, else Unknown."""
+    verdicts = [tail_membership(ideal, tail) for tail in cls.tails]
+    if verdicts and all(v.decision is verdicts[0].decision for v in verdicts):
+        return verdicts[0]
+    return Verdict(UNKNOWN, "center class undecided")
 
 
-def _decision_from_tail(ideal: IdealDescriptor, tail: TailCertificate) -> Verdict:
-    return membership(ideal, SetDescription((), 1, tail))
-
-
-def _block_center_case_split(
-    s: SequenceScenario,
-    m: CstarMetric,
-    ideal: IdealDescriptor,
-    eps: float,
-    n_max: int,
-):
-    """For block-profiled scenarios the verdict of A(eps) w.r.t. center
-    x_{n0} depends only on the block of n0.  Returns (per-block decisions
-    for blocks represented in the window, decision for all farther blocks).
-    """
-    model = s.tail_model
-    gp = m.gap_profile
-    jprobe = max(max_block_index(n_max), 64)
-    decisions = {}
-    for j0 in range(1, jprobe + 1):
-        tail = _a_eps_tail(s, m, model.value(j0), eps, n_max)
-        decisions[j0] = _decision_from_tail(ideal, tail)
-
-    # Centers in blocks beyond jprobe: the value is confined to a small
-    # interval around the limit.  Per-block offence can stay ambiguous for
-    # finitely many blocks without changing the verdict, as long as the
-    # decision agrees under both resolutions of the ambiguity.
-    lo, hi = model.value_interval(jprobe)
-    far_offending: list[int] = []
-    far_mixed: list[int] = []
-    for j in range(1, jprobe + 1):
-        glo, ghi = _gap_interval(model.value(j), lo, hi)
-        status = gp.interval_status(glo, ghi, eps, zero_attainable=False)
-        if status == ALL:
-            far_offending.append(j)
-        elif status == MIXED:
-            far_mixed.append(j)
-    far_status = gp.interval_status(0.0, hi - lo, eps, zero_attainable=True)
-    if far_status == MIXED:
-        far_decision = Verdict(UNKNOWN, "far-block case not uniform")
-    else:
-        if far_status == NONE:
-            lo_cert = TailCertificate.block_bounded(far_offending)
-            hi_cert = TailCertificate.block_bounded(far_offending + far_mixed)
-        else:
-            loud = set(far_offending) | set(far_mixed)
-            quiet = [j for j in range(1, jprobe + 1) if j not in loud]
-            lo_cert = TailCertificate.block_cobounded(quiet + far_mixed)
-            hi_cert = TailCertificate.block_cobounded(quiet)
-        d_lo = _decision_from_tail(ideal, lo_cert)
-        d_hi = _decision_from_tail(ideal, hi_cert)
-        if d_lo.decision is d_hi.decision:
-            far_decision = d_lo
-        else:
-            far_decision = Verdict(UNKNOWN, "far-block case ambiguous")
-    return decisions, far_decision
+def _floor_defeats(s: SequenceScenario, m: CstarMetric, eps: float) -> bool:
+    """Do distinct points keep distance >= eps while the sequence, being
+    injective, has infinitely many distinct points off any D in I?"""
+    floor = (s.pair_floor(m.gap_profile)
+             if m.gap_profile is not None and s.injective else None)
+    return floor is not None and floor >= eps
 
 
 def i_cauchy_def_verdict(
@@ -349,72 +205,26 @@ def i_cauchy_def_verdict(
 ) -> VerdictBundle:
     """Definition form: some center n0 puts A(eps) into the ideal."""
     _require_eps(eps)
-    model = s.tail_model
-
-    if isinstance(model, BlockTail) and m.gap_profile is not None:
-        decisions, far_decision = _block_center_case_split(s, m, ideal, eps, n_max)
-        for j0 in sorted(decisions):
-            if decisions[j0].decision is IN:
-                n0 = 1 << (j0 - 1)
-                a_set = a_epsilon_set(s, m, Index(n0), eps, n_max)
+    unknown = "schedule exhausted without certificate"
+    if m.gap_profile is not None and s.tail_model is not None:
+        split = s.tail_model.center_classes(s, m.gap_profile, eps, n_max)
+        verdicts = [_class_verdict(ideal, cls) for cls in split.classes]
+        for cls, v in zip(split.classes, verdicts):
+            if v.decision is IN and cls.index is not None:
+                a_set = a_epsilon_set(s, m, Index(cls.index), eps, n_max)
                 return VerdictBundle(
-                    Question.ICAUCHY_DEF, eps, Verdict(IN, decisions[j0].certificate),
-                    witness_set=a_set, witness_index=n0,
-                    trace=f"center n0={n0} (block {j0}); A(eps) "
+                    Question.ICAUCHY_DEF, eps, Verdict(IN, v.certificate),
+                    witness_set=a_set, witness_index=cls.index,
+                    trace=f"center n0={cls.index}; A(eps) "
                           f"tail={a_set.tail.kind.value}",
                 )
-        all_dec = list(decisions.values()) + [far_decision]
-        if all(v.decision is NOT_IN for v in all_dec):
+        if split.exhaustive and all(v.decision is NOT_IN for v in verdicts):
             return VerdictBundle(
-                Question.ICAUCHY_DEF, eps,
-                Verdict(NOT_IN, "block case split: every center block fails"),
-                trace="A(eps) not in ideal for every block of candidate centers",
+                Question.ICAUCHY_DEF, eps, Verdict(NOT_IN, split.notin),
+                trace="A(eps) not in ideal for every class of centers",
             )
-        return VerdictBundle(
-            Question.ICAUCHY_DEF, eps,
-            Verdict(UNKNOWN, "block case split inconclusive"),
-        )
-
-    if isinstance(model, RecurringTail) and m.gap_profile is not None:
-        pts = s.points(n_max)
-        results = {}
-        for v0 in model.values:
-            tail = _a_eps_tail(s, m, v0, eps, n_max)
-            results[v0] = (tail, _decision_from_tail(ideal, tail))
-        for v0, (tail, dec) in results.items():
-            if dec.decision is IN:
-                hits = np.nonzero(pts == v0)[0]
-                n0 = int(hits[0]) + 1 if hits.size else 1
-                a_set = a_epsilon_set(s, m, Index(n0), eps, n_max)
-                return VerdictBundle(
-                    Question.ICAUCHY_DEF, eps, Verdict(IN, dec.certificate),
-                    witness_set=a_set, witness_index=n0,
-                    trace=f"center value {v0}",
-                )
-        if all(dec.decision is NOT_IN for _, dec in results.values()):
-            return VerdictBundle(
-                Question.ICAUCHY_DEF, eps,
-                Verdict(NOT_IN, "every recurring center value fails"),
-            )
-        return VerdictBundle(
-            Question.ICAUCHY_DEF, eps, Verdict(UNKNOWN, "recurring case split "
-                                                        "inconclusive"),
-        )
-
-    # Convergent-tail (or profile-free) scenarios: deterministic schedule.
-    traces = []
-    for n0 in _center_schedule(s, m, eps, n_max):
-        a_set = a_epsilon_set(s, m, Index(n0), eps, n_max)
-        v = membership(ideal, a_set)
-        traces.append(f"n0={n0}: tail={a_set.tail.kind.value} -> {v.decision.value}")
-        if v.decision is IN:
-            return VerdictBundle(
-                Question.ICAUCHY_DEF, eps, Verdict(IN, v.certificate),
-                witness_set=a_set, witness_index=n0,
-                trace="; ".join(traces),
-            )
-    floor = _universal_pair_floor(s, m)
-    if floor is not None and s.injective and floor >= eps:
+        unknown = split.unknown
+    if _floor_defeats(s, m, eps):
         return VerdictBundle(
             Question.ICAUCHY_DEF, eps,
             Verdict(
@@ -422,63 +232,12 @@ def i_cauchy_def_verdict(
                 "distance floor over distinct points >= eps: A(eps) is "
                 "cofinite for every center",
             ),
-            trace="; ".join(traces),
         )
-    return VerdictBundle(
-        Question.ICAUCHY_DEF, eps,
-        Verdict(UNKNOWN, "schedule exhausted without certificate"),
-        trace="; ".join(traces),
-    )
+    return VerdictBundle(Question.ICAUCHY_DEF, eps, Verdict(UNKNOWN, unknown))
 
 
 # ---------------------------------------------------------------------------
 # I-Cauchy: pair form
-
-
-def _least_below(envelope, target: float, cap: int) -> int:
-    """Least j >= 1 with envelope(j) < target, for a nonincreasing envelope.
-
-    Doubling brackets the answer, bisection pins it: O(log j) evaluations.
-    Raises DomainError when no j <= cap qualifies.
-    """
-    if envelope(1) < target:
-        return 1
-    lo, hi = 1, 2  # invariant: envelope(lo) >= target
-    while envelope(hi) >= target:
-        if hi > cap:
-            raise DomainError("block cut search diverged")
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if envelope(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    if hi > cap:
-        raise DomainError("block cut search diverged")
-    return hi
-
-
-def _pair_status_over_interval(
-    m: CstarMetric, lo: float, hi: float, eps: float, zero_attainable: bool
-) -> str:
-    """Offence status of pairs drawn from points confined to [lo, hi]."""
-    gp = m.gap_profile
-    return gp.interval_status(0.0, max(hi - lo, 0.0), eps,
-                              zero_attainable=zero_attainable)
-
-
-def _off_window_interval(
-    s: SequenceScenario, pts_off: np.ndarray, n_max: int
-) -> tuple:
-    """Interval containing the off-D window points together with the whole
-    tail of the sequence (used when D's tail is Finite)."""
-    model = s.tail_model
-    lo, hi = model.interval(n_max)
-    if pts_off.size:
-        lo = min(lo, float(np.min(pts_off)))
-        hi = max(hi, float(np.max(pts_off)))
-    return lo, hi
 
 
 def i_cauchy_pair_verdict(
@@ -490,104 +249,11 @@ def i_cauchy_pair_verdict(
 ) -> VerdictBundle:
     """Pair form: exists D in I with ||d(x_m, x_n)|| < eps off D."""
     _require_eps(eps)
-    gp = m.gap_profile
-    model = s.tail_model
-
-    if gp is not None and isinstance(model, ConvergentTail):
-        # Fast path: D = empty set.
-        pts = s.points(n_max)
-        lo, hi = _off_window_interval(s, pts, n_max)
-        if _pair_status_over_interval(m, lo, hi, eps, not s.injective) == NONE:
-            return VerdictBundle(
-                Question.ICAUCHY_PAIR, eps,
-                Verdict(IN, "all pairwise distances certified < eps"),
-                witness_set=SetDescription.empty(n_max),
-                trace="D = empty set",
-            )
-        # D = E_k(eps/3) over the deterministic schedule.
-        for k in _center_schedule(s, m, eps / 3.0, n_max):
-            d_set = a_epsilon_set(s, m, Index(k), eps / 3.0, n_max)
-            if membership(ideal, d_set).decision is not IN:
-                continue
-            if d_set.tail.kind is not TailKind.FINITE:
-                continue
-            pts_off = pts[~d_set.mask]
-            lo, hi = _off_window_interval(s, pts_off, n_max)
-            if _pair_status_over_interval(m, lo, hi, eps, not s.injective) == NONE:
-                return VerdictBundle(
-                    Question.ICAUCHY_PAIR, eps,
-                    Verdict(IN, "off-D pairwise distances certified < eps"),
-                    witness_set=d_set, witness_index=k,
-                    trace=f"D = E_k(eps/3) with k={k}",
-                )
-
-    if gp is not None and isinstance(model, BlockTail):
-        if ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR:
-            # Cut rule: smallest J with envelope(J) < eps / (2 * scale);
-            # off the first J blocks every pair norm stays below eps.
-            j_cut = _least_below(model.envelope, eps / (2.0 * gp.scale),
-                                 10 ** 9)
-            lo, hi = model.value_interval(j_cut)
-            if _pair_status_over_interval(m, lo, hi, eps, True) == NONE:
-                d_set = block_union(range(1, j_cut + 1), n_max)
-                return VerdictBundle(
-                    Question.ICAUCHY_PAIR, eps,
-                    Verdict(IN, "off-D blocks have pairwise distances < eps"),
-                    witness_set=d_set, cut_index=j_cut,
-                    trace=f"D = union of blocks 1..{j_cut}",
-                )
-        # Defeating pair certificates.
-        jprobe = max(max_block_index(n_max), 64)
-        vals = [model.value(j) for j in range(1, jprobe + 1)]
-        if ideal.kind is IdealKind.FIN:
-            # Finite D cannot remove any block; every distinct-block pair
-            # recurs beyond it.
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    if gp.offends(abs(vals[i] - vals[j]), eps):
-                        return VerdictBundle(
-                            Question.ICAUCHY_PAIR, eps,
-                            Verdict(NOT_IN,
-                                    f"blocks {i + 1},{j + 1} recur off every "
-                                    f"finite D with distance >= eps"),
-                        )
-        if ideal.kind is IdealKind.BLOCK and gp.kind in (
-            GapKind.DISCRETE, GapKind.RECIPROCAL
-        ):
-            # Off any block-ideal D infinitely many whole blocks remain;
-            # their distinct values defeat discrete/reciprocal bounds.
-            floor = gp.scale if gp.kind is GapKind.DISCRETE else None
-            if gp.kind is GapKind.RECIPROCAL:
-                diam = s.point_bounds[1] - s.point_bounds[0]
-                floor = math.inf if diam == 0 else gp.scale / diam
-            if floor is not None and floor >= eps:
-                return VerdictBundle(
-                    Question.ICAUCHY_PAIR, eps,
-                    Verdict(NOT_IN, "distinct block values keep distance >= eps "
-                                    "off every D in the ideal"),
-                )
-
-    if gp is not None and isinstance(model, RecurringTail):
-        pair_norms = [
-            gp.norm_of_gap(abs(v - w))
-            for i, v in enumerate(model.values)
-            for w in model.values[i:]
-        ]
-        if max(pair_norms) < eps:
-            return VerdictBundle(
-                Question.ICAUCHY_PAIR, eps,
-                Verdict(IN, "all recurring value pairs < eps"),
-                witness_set=SetDescription.empty(n_max),
-            )
-        if ideal.kind is IdealKind.FIN:
-            return VerdictBundle(
-                Question.ICAUCHY_PAIR, eps,
-                Verdict(NOT_IN, "a recurring value pair keeps distance >= eps "
-                                "off every finite D"),
-            )
-
-    floor = _universal_pair_floor(s, m)
-    if floor is not None and s.injective and floor >= eps:
+    if m.gap_profile is not None and s.tail_model is not None:
+        found = s.tail_model.pair_verdict(s, m.gap_profile, ideal, eps, n_max)
+        if found is not None:
+            return VerdictBundle(Question.ICAUCHY_PAIR, eps, **found)
+    if _floor_defeats(s, m, eps):
         return VerdictBundle(
             Question.ICAUCHY_PAIR, eps,
             Verdict(NOT_IN, "distance floor over distinct points >= eps; the "
@@ -603,17 +269,6 @@ def i_cauchy_pair_verdict(
 # I-Cauchy: E_k form
 
 
-_STATUS_CODE = {NONE: 0, ALL: 1, MIXED: 2}
-
-
-def _ek_tail_kind_from_status(code: int) -> TailCertificate:
-    if code == 0:
-        return TailCertificate.finite()
-    if code == 1:
-        return TailCertificate.cofinite()
-    return TailCertificate.unknown()
-
-
 def i_cauchy_ek_verdict(
     s: SequenceScenario,
     m: CstarMetric,
@@ -623,143 +278,37 @@ def i_cauchy_ek_verdict(
 ) -> VerdictBundle:
     """E_k form: the set K = {k : E_k(eps) not in I} must itself be in I."""
     _require_eps(eps)
-    gp = m.gap_profile
-    model = s.tail_model
-    if gp is None or model is None:
+    if m.gap_profile is None or s.tail_model is None:
         return VerdictBundle(
             Question.ICAUCHY_EK, eps,
             Verdict(UNKNOWN, "no gap profile / tail model"),
         )
-
-    if isinstance(model, BlockTail):
-        block_verdicts, far_decision = _block_center_case_split(
-            s, m, ideal, eps, n_max
-        )
-        block_dec = {j: v.decision for j, v in block_verdicts.items()}
-        members = block_mask(
-            {j for j, dec in block_dec.items() if dec is NOT_IN}, n_max
-        )
-        if any(dec is UNKNOWN for dec in block_dec.values()) or \
-                far_decision.decision is UNKNOWN:
-            tail = TailCertificate.unknown()
-        elif far_decision.decision is IN:
-            tail = TailCertificate.block_bounded(
-                [j for j, dec in block_dec.items() if dec is NOT_IN]
-            )
-        else:
-            tail = TailCertificate.block_cobounded(
-                [j for j, dec in block_dec.items() if dec is not NOT_IN]
-            )
-        k_set = SetDescription(members, n_max, tail)
-        v = membership(ideal, k_set)
-        return VerdictBundle(
-            Question.ICAUCHY_EK, eps, v, witness_set=k_set,
-            trace=f"K tail={tail.kind.value}",
-        )
-
-    if isinstance(model, ConvergentTail):
-        pts = s.points(n_max)
-        lo, hi = model.interval(n_max)
-        glo = np.empty(n_max)
-        ghi = np.empty(n_max)
-        inside = (pts >= lo) & (pts <= hi)
-        below = pts < lo
-        glo[inside] = 0.0
-        glo[below] = lo - pts[below]
-        above = ~inside & ~below
-        glo[above] = pts[above] - hi
-        ghi = np.maximum(np.abs(pts - lo), np.abs(pts - hi))
-        if s.injective:
-            zero = np.zeros(n_max, dtype=bool)
-        else:
-            values, where = np.unique(pts, return_inverse=True)
-            zero = np.array(
-                [s.tail_hits(float(p), n_max) for p in values], dtype=bool
-            )[where]
-        codes = _interval_status_vec(gp, glo, ghi, eps, zero)
-        counts = np.bincount(codes, minlength=3)
-        code_dec = {
-            code: _decision_from_tail(ideal, tail).decision
-            for code, tail in ((0, TailCertificate.finite()),
-                               (1, TailCertificate.cofinite()),
-                               (2, TailCertificate.unknown()))
-            if counts[code]
-        }
-        members = frozen_mask(np.isin(
-            codes, [code for code, dec in code_dec.items() if dec is NOT_IN]
-        ))
-        unknown_count = int(sum(
-            counts[code] for code, dec in code_dec.items() if dec is UNKNOWN
-        ))
-        # Tail of K: centers beyond the window also sit in [lo, hi].
-        far_status = _pair_status_over_interval(m, lo, hi, eps, not s.injective)
-        far_dec = membership(
-            ideal,
-            SetDescription((), 1, _ek_tail_kind_from_status(
-                _STATUS_CODE[far_status]))
-        ).decision
-        if far_dec is IN:
-            tail = TailCertificate.finite()
-        elif far_dec is NOT_IN:
-            tail = TailCertificate.cofinite()
-        else:
-            tail = TailCertificate.unknown()
-        k_set = SetDescription(members, n_max, tail)
-        v = membership(ideal, k_set)
-        trace = f"K tail={tail.kind.value}"
-        if unknown_count:
-            trace += (f"; {unknown_count} window centers undecided "
-                      f"(cannot affect the tail-certified verdict)")
-        return VerdictBundle(
-            Question.ICAUCHY_EK, eps, v, witness_set=k_set, trace=trace,
-        )
-
-    # RecurringTail
-    pts = s.points(n_max)
-    value_dec = {}
-    for v0 in model.values:
-        tail = _a_eps_tail(s, m, v0, eps, n_max)
-        value_dec[v0] = _decision_from_tail(ideal, tail).decision
-    members = frozen_mask(np.isin(
-        pts, [v0 for v0, dec in value_dec.items() if dec is NOT_IN]
-    ))
-    decs = set(value_dec.values())
-    if decs == {NOT_IN}:
+    split = s.tail_model.center_classes(s, m.gap_profile, eps, n_max)
+    decisions = [_class_verdict(ideal, cls).decision for cls in split.classes]
+    failing = [c for c, d in zip(split.classes, decisions) if d is NOT_IN]
+    undecided = [c for c, d in zip(split.classes, decisions) if d is UNKNOWN]
+    # K is the union of the failing classes, all of N when every class
+    # fails.  An undecided class leaves the tail of K open unless its
+    # members all lie in the window.
+    if len(failing) == len(decisions):
         tail = TailCertificate.cofinite()
-    elif decs == {IN}:
-        tail = TailCertificate.finite()
-    elif UNKNOWN in decs:
+    elif any(c.beyond.kind is not TailKind.FINITE for c in undecided):
         tail = TailCertificate.unknown()
     else:
-        tail = TailCertificate.infinite()
+        tail = reduce(_union_tail, (c.beyond for c in failing),
+                      TailCertificate.finite())
+    members = split.members([c.key for c in failing if c.key is not None])
     k_set = SetDescription(members, n_max, tail)
     v = membership(ideal, k_set)
+    trace = f"K tail={tail.kind.value}"
+    in_window = [c.key for c in undecided if c.beyond.kind is TailKind.FINITE]
+    if in_window:
+        count = int(np.count_nonzero(split.members(in_window)))
+        trace += (f"; {count} window centers undecided "
+                  f"(cannot affect the tail-certified verdict)")
     return VerdictBundle(
-        Question.ICAUCHY_EK, eps, v, witness_set=k_set,
-        trace=f"K tail={tail.kind.value}",
+        Question.ICAUCHY_EK, eps, v, witness_set=k_set, trace=trace,
     )
-
-
-def _interval_status_vec(gp, glo, ghi, eps, zero) -> np.ndarray:
-    """Vectorized GapProfile.interval_status; returns codes 0=none, 1=all,
-    2=mixed."""
-    out = np.full(glo.shape, 2, dtype=int)
-    if gp.kind is GapKind.LINEAR:
-        out[gp.scale * glo >= eps] = 1
-        out[gp.scale * ghi < eps] = 0
-    elif gp.kind is GapKind.RECIPROCAL:
-        cut = gp.scale / eps
-        zero_possible = zero & (glo <= 0.0)
-        out[(ghi <= cut) & (ghi > 0.0) & ~zero_possible] = 1
-        out[(glo > cut) | (ghi == 0.0)] = 0
-    else:
-        zero_possible = zero & (glo <= 0.0)
-        if gp.scale < eps:
-            out[:] = 0
-        else:
-            out[~zero_possible] = 1
-            out[ghi == 0.0] = 0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -805,13 +354,38 @@ def cauchy_criteria_cross_check(
 # I*-Cauchy and I*-convergence
 
 
-def _active_blocks_of_witness(witness: SetDescription) -> Optional[frozenset]:
-    """Blocks fully retained by the witness (up to finite error), or None."""
-    if witness.tail.kind is TailKind.COFINITE:
-        return frozenset()
-    if witness.tail.kind is TailKind.BLOCK_COBOUNDED:
-        return witness.tail.blocks
-    return None
+def _i_star_verdict(
+    s: SequenceScenario,
+    m: CstarMetric,
+    ideal: IdealDescriptor,
+    witness_m: SetDescription,
+    eps: float,
+    n_max: int,
+    limit: Optional[float],
+) -> VerdictBundle:
+    """The subsequence indexed by the witness stays within eps of itself
+    (I*-Cauchy, no limit) or of the limit (I*-convergence), the witness
+    being certified in the dual filter."""
+    _require_eps(eps)
+    pairs = limit is None
+    fm = filter_membership(ideal, witness_m)
+    if fm.decision is not IN:
+        if not pairs:
+            text = "witness filter membership: " + fm.certificate
+        elif fm.decision is NOT_IN:
+            text = "witness set is not in the dual filter"
+        else:
+            text = "witness filter membership undecided"
+        found = dict(verdict=Verdict(fm.decision, text))
+    elif m.gap_profile is None or s.tail_model is None:
+        found = dict(verdict=Verdict(
+            UNKNOWN, "no gap profile / tail model" if pairs
+            else "no tail analytics"))
+    else:
+        found = s.tail_model.istar(s, m.gap_profile, witness_m, eps, n_max,
+                                   limit)
+    question = Question.ISTAR_CAUCHY if pairs else Question.ISTAR_CONV
+    return VerdictBundle(question, eps, witness_set=witness_m, **found)
 
 
 def i_star_cauchy_verdict(
@@ -824,117 +398,7 @@ def i_star_cauchy_verdict(
 ) -> VerdictBundle:
     """Is the subsequence indexed by the witness Cauchy at level eps, with
     the witness certified to belong to the dual filter?"""
-    _require_eps(eps)
-    fm = filter_membership(ideal, witness_m)
-    if fm.decision is NOT_IN:
-        return VerdictBundle(
-            Question.ISTAR_CAUCHY, eps,
-            Verdict(NOT_IN, "witness set is not in the dual filter"),
-            witness_set=witness_m,
-        )
-    if fm.decision is UNKNOWN:
-        return VerdictBundle(
-            Question.ISTAR_CAUCHY, eps,
-            Verdict(UNKNOWN, "witness filter membership undecided"),
-            witness_set=witness_m,
-        )
-    gp = m.gap_profile
-    model = s.tail_model
-    if gp is None or model is None:
-        return VerdictBundle(
-            Question.ISTAR_CAUCHY, eps,
-            Verdict(UNKNOWN, "no gap profile / tail model"),
-            witness_set=witness_m,
-        )
-
-    if isinstance(model, ConvergentTail):
-        cut = 1
-        while cut <= 2 ** 48:
-            lo, hi = model.interval(cut)
-            status = _pair_status_over_interval(m, lo, hi, eps, not s.injective)
-            if status == NONE:
-                return VerdictBundle(
-                    Question.ISTAR_CAUCHY, eps,
-                    Verdict(IN, "subsequence pairs beyond the cut < eps"),
-                    witness_set=witness_m, cut_index=cut,
-                )
-            if status == ALL:
-                # Pairs beyond every cut keep distance >= eps; the witness
-                # is infinite because it lies in the dual filter.
-                return VerdictBundle(
-                    Question.ISTAR_CAUCHY, eps,
-                    Verdict(NOT_IN, "all far pairs keep distance >= eps"),
-                    witness_set=witness_m,
-                )
-            cut *= 2
-        return VerdictBundle(
-            Question.ISTAR_CAUCHY, eps,
-            Verdict(UNKNOWN, "no pair cut certified"),
-            witness_set=witness_m,
-        )
-
-    if isinstance(model, BlockTail):
-        excluded = _active_blocks_of_witness(witness_m)
-        if excluded is None:
-            return VerdictBundle(
-                Question.ISTAR_CAUCHY, eps,
-                Verdict(UNKNOWN, "witness block structure unknown"),
-                witness_set=witness_m,
-            )
-        jprobe = max(max_block_index(n_max), 64)
-        active = [j for j in range(1, jprobe + 1) if j not in excluded]
-        # A defeating pair of active blocks recurs beyond every cut.
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i_blk, j_blk = active[ai], active[aj]
-                gap = abs(model.value(i_blk) - model.value(j_blk))
-                if gp.offends(gap, eps):
-                    return VerdictBundle(
-                        Question.ISTAR_CAUCHY, eps,
-                        Verdict(NOT_IN,
-                                f"blocks {i_blk},{j_blk} stay in the witness "
-                                f"with distance {gp.norm_of_gap(gap)!r} >= eps"),
-                        witness_set=witness_m,
-                        trace=f"defeating gap norm {gp.norm_of_gap(gap)!r}",
-                    )
-        if active:
-            j_min = active[0]
-            lo, hi = model.value_interval(j_min - 1)
-            status = _pair_status_over_interval(m, lo, hi, eps, True)
-            if status == NONE:
-                return VerdictBundle(
-                    Question.ISTAR_CAUCHY, eps,
-                    Verdict(IN, "all active-block pairs certified < eps"),
-                    witness_set=witness_m, cut_index=j_min,
-                )
-        return VerdictBundle(
-            Question.ISTAR_CAUCHY, eps,
-            Verdict(UNKNOWN, "active block pairs inconclusive"),
-            witness_set=witness_m,
-        )
-
-    # RecurringTail
-    if witness_m.tail.kind is TailKind.COFINITE:
-        worst = max(
-            gp.norm_of_gap(abs(v - w))
-            for v in model.values for w in model.values
-        )
-        if worst < eps:
-            return VerdictBundle(
-                Question.ISTAR_CAUCHY, eps,
-                Verdict(IN, "recurring value pairs all < eps"),
-                witness_set=witness_m, cut_index=1,
-            )
-        return VerdictBundle(
-            Question.ISTAR_CAUCHY, eps,
-            Verdict(NOT_IN, "a recurring value pair keeps distance >= eps"),
-            witness_set=witness_m,
-        )
-    return VerdictBundle(
-        Question.ISTAR_CAUCHY, eps,
-        Verdict(UNKNOWN, "witness does not certify which values recur"),
-        witness_set=witness_m,
-    )
+    return _i_star_verdict(s, m, ideal, witness_m, eps, n_max, None)
 
 
 def i_star_convergence_verdict(
@@ -948,99 +412,7 @@ def i_star_convergence_verdict(
 ) -> VerdictBundle:
     """Subsequence indexed by the witness converges to the limit at level
     eps, witness certified in the dual filter."""
-    _require_eps(eps)
-    fm = filter_membership(ideal, witness_m)
-    if fm.decision is not IN:
-        dec = NOT_IN if fm.decision is NOT_IN else UNKNOWN
-        return VerdictBundle(
-            Question.ISTAR_CONV, eps,
-            Verdict(dec, "witness filter membership: " + fm.certificate),
-            witness_set=witness_m,
-        )
-    gp = m.gap_profile
-    model = s.tail_model
-    if gp is None or model is None:
-        return VerdictBundle(
-            Question.ISTAR_CONV, eps, Verdict(UNKNOWN, "no tail analytics"),
-            witness_set=witness_m,
-        )
-    if isinstance(model, ConvergentTail):
-        cut = 1
-        while cut <= 2 ** 48:
-            lo, hi = model.interval(cut)
-            glo, ghi = _gap_interval(limit, lo, hi)
-            status = gp.interval_status(
-                glo, ghi, eps, zero_attainable=s.tail_hits(limit, cut)
-            )
-            if status == NONE:
-                return VerdictBundle(
-                    Question.ISTAR_CONV, eps,
-                    Verdict(IN, "tail distances to the limit < eps"),
-                    witness_set=witness_m, cut_index=cut,
-                )
-            if status == ALL:
-                return VerdictBundle(
-                    Question.ISTAR_CONV, eps,
-                    Verdict(NOT_IN, "tail distances to the limit >= eps"),
-                    witness_set=witness_m,
-                )
-            cut *= 2
-        return VerdictBundle(
-            Question.ISTAR_CONV, eps, Verdict(UNKNOWN, "no cut certified"),
-            witness_set=witness_m,
-        )
-    if isinstance(model, BlockTail):
-        excluded = _active_blocks_of_witness(witness_m)
-        if excluded is None:
-            return VerdictBundle(
-                Question.ISTAR_CONV, eps,
-                Verdict(UNKNOWN, "witness block structure unknown"),
-                witness_set=witness_m,
-            )
-        jprobe = max(max_block_index(n_max), 64)
-        active = [j for j in range(1, jprobe + 1) if j not in excluded]
-        for j in active:
-            if gp.offends(abs(model.value(j) - limit), eps):
-                return VerdictBundle(
-                    Question.ISTAR_CONV, eps,
-                    Verdict(NOT_IN, f"active block {j} keeps distance >= eps "
-                                    f"from the limit"),
-                    witness_set=witness_m,
-                )
-        lo, hi = model.value_interval(jprobe)
-        glo, ghi = _gap_interval(limit, lo, hi)
-        if gp.interval_status(glo, ghi, eps, zero_attainable=True) == NONE:
-            return VerdictBundle(
-                Question.ISTAR_CONV, eps,
-                Verdict(IN, "all active blocks within eps of the limit"),
-                witness_set=witness_m, cut_index=active[0] if active else 1,
-            )
-        return VerdictBundle(
-            Question.ISTAR_CONV, eps, Verdict(UNKNOWN, "far blocks undecided"),
-            witness_set=witness_m,
-        )
-    # RecurringTail
-    if witness_m.tail.kind is TailKind.COFINITE:
-        offending = [
-            v for v in model.values if gp.offends(abs(v - limit), eps)
-        ]
-        if not offending:
-            return VerdictBundle(
-                Question.ISTAR_CONV, eps,
-                Verdict(IN, "all recurring values within eps of the limit"),
-                witness_set=witness_m, cut_index=1,
-            )
-        return VerdictBundle(
-            Question.ISTAR_CONV, eps,
-            Verdict(NOT_IN, f"recurring value {offending[0]} stays >= eps "
-                            f"from the limit"),
-            witness_set=witness_m,
-        )
-    return VerdictBundle(
-        Question.ISTAR_CONV, eps,
-        Verdict(UNKNOWN, "witness does not certify which values recur"),
-        witness_set=witness_m,
-    )
+    return _i_star_verdict(s, m, ideal, witness_m, eps, n_max, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,8 +434,6 @@ def istar_witness_from_ap(
             f"ideal {ideal.name!r} lacks property (AP); no witness construction"
         )
     b_sets = []
-    from .ideals import ap_lemma_witness  # local import to avoid cycle noise
-
     for k in range(1, probe_count + 1):
         eps = 1.0 / k
         bundle = i_cauchy_def_verdict(s, m, ideal, eps, n_max)
@@ -1093,8 +463,6 @@ def counterexample_audit(
     candidate witness, and their fixed distance exceeds the challenge value
     eps0 = scale / (3 (l+1)(l+2)) no matter how late the cut is placed.
     """
-    from .sequences import make_block_harmonic
-
     if n_max < 2 ** (l_max + 2):
         raise DomainError(f"window {n_max} too small for l_max={l_max}")
     s = scenario or make_block_harmonic()
@@ -1193,13 +561,11 @@ def implication_audit(
 def _implication_row(s, ideal, m, eps, n_max) -> dict:
     label = f"{s.name}/{ideal.name}/{m.name}/eps={eps:g}"
     violations = []
-    ic_def = i_cauchy_def_verdict(s, m, ideal, eps, n_max)
-    ic_pair = i_cauchy_pair_verdict(s, m, ideal, eps, n_max)
-    ic_ek = i_cauchy_ek_verdict(s, m, ideal, eps, n_max)
-    decisions = [ic_def.decision, ic_pair.decision, ic_ek.decision]
-    if IN in decisions and NOT_IN in decisions:
+    cauchy = cauchy_criteria_cross_check(s, m, ideal, [eps], n_max)
+    if not cauchy["consistent"]:
         violations.append(f"{label}: I-Cauchy criteria conflict")
-    icauchy_not_notin = NOT_IN not in decisions
+    icauchy = cauchy["cells"][0]["decisions"]
+    icauchy_not_notin = NOT_IN.value not in icauchy.values()
 
     iconv = None
     inclusion_ok = None
@@ -1214,7 +580,8 @@ def _implication_row(s, ideal, m, eps, n_max) -> dict:
                 violations.append(f"{label}: B(2eps) not within A(eps)")
 
     istar_witnesses = [SetDescription.full(n_max)]
-    if isinstance(s.tail_model, BlockTail) and ideal.kind is IdealKind.BLOCK:
+    if (s.tail_model is not None and s.tail_model.blockwise
+            and ideal.kind is IdealKind.BLOCK):
         for l in (1, 2, 3):
             istar_witnesses.append(
                 block_union(range(1, l + 1), n_max).complement()
@@ -1236,11 +603,7 @@ def _implication_row(s, ideal, m, eps, n_max) -> dict:
 
     return {
         "label": label,
-        "i_cauchy": {
-            "definition": ic_def.decision.value,
-            "pair": ic_pair.decision.value,
-            "ek": ic_ek.decision.value,
-        },
+        "i_cauchy": icauchy,
         "i_convergence": iconv.decision.value if iconv else None,
         "proof_inclusion_b2eps_in_aeps": inclusion_ok,
         "i_star_cauchy": [b.decision.value for b in istar_results],

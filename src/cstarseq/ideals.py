@@ -386,7 +386,6 @@ class IdealKind(enum.Enum):
 class ApStatus(enum.Enum):
     HAS_AP = "has_ap"
     LACKS_AP = "lacks_ap"
-    UNKNOWN_AP = "unknown_ap"
 
 
 @dataclass(frozen=True)
@@ -420,15 +419,18 @@ class IdealDescriptor:
         return self.ap is ApStatus.HAS_AP
 
 
+# Built-in ideals by configuration name, in listing order.
+IDEALS = {
+    "fin": IdealDescriptor.fin,
+    "density0": IdealDescriptor.density_zero,
+    "block": IdealDescriptor.block,
+}
+
+
 def ideal_by_name(name: str) -> IdealDescriptor:
-    table = {
-        "fin": IdealDescriptor.fin,
-        "density0": IdealDescriptor.density_zero,
-        "block": IdealDescriptor.block,
-    }
-    if name not in table:
+    if name not in IDEALS:
         raise DomainError(f"unknown ideal {name!r}")
-    return table[name]()
+    return IDEALS[name]()
 
 
 _FIN_RULES = {
@@ -475,7 +477,12 @@ _RULES = {
 def membership(ideal: IdealDescriptor, s: SetDescription) -> Verdict:
     """Does the described set belong to the ideal?  Decided from the tail
     certificate via a fixed, conflict-free rule table."""
-    decision, rule = _RULES[ideal.kind][s.tail.kind]
+    return tail_membership(ideal, s.tail)
+
+
+def tail_membership(ideal: IdealDescriptor, tail: TailCertificate) -> Verdict:
+    """Membership of every set whose tail certificate is ``tail``."""
+    decision, rule = _RULES[ideal.kind][tail.kind]
     return Verdict(decision, rule)
 
 

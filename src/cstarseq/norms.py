@@ -26,9 +26,9 @@ from .algebra import (
     precedes,
 )
 from .errors import DomainError, PreconditionError
-from .ideals import Decision, IN, NOT_IN, Verdict
+from .ideals import Decision, IN, NOT_IN
 from .metrics import CstarMetric, GapKind, GapProfile, make_discrete_metric
-from .sequences import ConvergentTail, SequenceScenario
+from .sequences import SequenceScenario
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +90,18 @@ def make_real_abs_norm() -> CstarNorm:
     )
 
 
+# Built-in norms by configuration name, in listing order.
+NORMS = {
+    "scaled-diag": lambda a=1.0, b=2.0, **_: make_scaled_diag_norm(
+        float(a), float(b)),
+    "real-abs": lambda **p: make_real_abs_norm(),
+}
+
+
 def norm_by_name(name: str, **params) -> CstarNorm:
-    if name == "scaled-diag":
-        return make_scaled_diag_norm(
-            float(params.get("a", 1.0)), float(params.get("b", 2.0))
-        )
-    if name == "real-abs":
-        return make_real_abs_norm()
-    raise DomainError(f"unknown norm {name!r}")
+    if name not in NORMS:
+        raise DomainError(f"unknown norm {name!r}")
+    return NORMS[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +305,9 @@ def norm_convergence_verdict(
     if not (eps > 0.0):
         raise DomainError("eps must be positive")
     model = s.tail_model
-    if not isinstance(model, ConvergentTail):
-        slope = op_norm(nrm.eval(1.0))
-        pts = s.points(n_max)
-        offending = slope * np.abs(pts - limit) >= eps
+    slope = op_norm(nrm.eval(1.0))
+    norms = slope * np.abs(s.points(n_max) - limit)
+    if model is None or model.interval is None:
         if model is not None and hasattr(model, "values"):
             vals = [v for v in model.values
                     if slope * abs(v - limit) >= eps]
@@ -313,16 +316,13 @@ def norm_convergence_verdict(
                     eps, NOT_IN,
                     f"value {vals[0]} recurs with norm >= eps",
                 )
-        if not np.any(offending):
+        if not np.any(norms >= eps):
             return NormConvergenceBundle(
                 eps, Decision.UNKNOWN, "window clean but tail uncertified"
             )
         return NormConvergenceBundle(
             eps, Decision.UNKNOWN, "no convergent tail model"
         )
-    slope = op_norm(nrm.eval(1.0))
-    pts = s.points(n_max)
-    norms = slope * np.abs(pts - limit)
     offending = np.nonzero(norms >= eps)[0]
     lo, hi = model.interval(n_max)
     tail_worst = slope * max(abs(lo - limit), abs(hi - limit))

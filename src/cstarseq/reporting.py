@@ -17,12 +17,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from . import convergence as cv
 from .convergence import (
-    Index,
-    Point,
     VerdictBundle,
     cauchy_criteria_cross_check,
     counterexample_audit,
@@ -34,28 +31,28 @@ from .convergence import (
     implication_audit,
     istar_witness_from_ap,
 )
-from .errors import ConfigError, CstarSeqError, UnsupportedOperationError
+from .errors import ConfigError, CstarSeqError
 from .ideals import (
     Decision,
     IN,
     NOT_IN,
     SetDescription,
     UNKNOWN,
+    IDEALS,
     IdealDescriptor,
     ideal_by_name,
 )
-from .metrics import CstarMetric, metric_by_name, verify_axioms
+from .metrics import METRICS, CstarMetric, metric_by_name, verify_axioms
 from .norms import (
+    NORMS,
     discrete_metric_homogeneity_witness,
     induce_metric,
     invariance_audit,
-    make_real_abs_norm,
-    make_scaled_diag_norm,
     norm_by_name,
     norm_convergence_verdict,
     verify_norm_axioms,
 )
-from .sequences import SequenceScenario, scenario_by_name
+from .sequences import SCENARIOS, SequenceScenario, scenario_by_name
 
 DEFAULT_WINDOW = 4096
 WINDOW_ENV_VAR = "CSTAR_SEQ_WINDOW"
@@ -69,10 +66,11 @@ _QUESTIONS = (
     "i_star_cauchy",
 )
 
-_SCENARIO_NAMES = ("harmonic", "block-harmonic", "alternating", "constant:0")
-_METRIC_NAMES = ("diag", "reciprocal", "scaled", "discrete",
-                 "induced:scaled-diag", "induced:real-abs")
-_IDEAL_NAMES = ("fin", "density0", "block")
+# Listed names, read from the registries.
+_SCENARIO_NAMES = tuple(name if arg is None else f"{name}:{arg}"
+                        for name, (_, arg) in SCENARIOS.items())
+_METRIC_NAMES = tuple(METRICS) + tuple(f"induced:{n}" for n in NORMS)
+_IDEAL_NAMES = tuple(IDEALS)
 
 
 def default_window() -> int:
@@ -105,19 +103,17 @@ class RunConfig:
     metric_params: dict = field(default_factory=dict)
 
     def validated(self) -> "RunConfig":
-        if self.scenario.split(":", 1)[0] not in (
-            "harmonic", "block-harmonic", "alternating", "constant"
-        ):
+        if self.scenario.partition(":")[0] not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}",
                               field="scenario")
-        base = self.metric.split(":", 1)
-        if base[0] == "induced":
-            if len(base) != 2 or base[1] not in ("scaled-diag", "real-abs"):
+        base, _, norm = self.metric.partition(":")
+        if base == "induced":
+            if norm not in NORMS:
                 raise ConfigError(f"unknown induced norm in {self.metric!r}",
                                   field="metric")
-        elif base[0] not in ("diag", "reciprocal", "scaled", "discrete"):
+        elif base not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}", field="metric")
-        if self.ideal not in _IDEAL_NAMES:
+        if self.ideal not in IDEALS:
             raise ConfigError(f"unknown ideal {self.ideal!r}", field="ideal")
         if not self.eps_list or any(e <= 0 for e in self.eps_list):
             raise ConfigError("eps_list must be nonempty and positive",
@@ -345,9 +341,8 @@ def audit_paper(window: Optional[int] = None) -> dict:
     block_seq = scenario_by_name("block-harmonic")
 
     # -- linear diagonal metric: the harmonic sequence is Cauchy.
-    from .metrics import make_diag_metric
     for alpha in (0.5, 2.0):
-        m = make_diag_metric(alpha)
+        m = metric_by_name("diag", alpha=alpha)
         for eps in (0.1, 0.01):
             b = i_cauchy_def_verdict(harmonic, m, fin, eps, n)
             claims.append(_claim(
@@ -355,7 +350,7 @@ def audit_paper(window: Optional[int] = None) -> dict:
                 b.decision is IN,
                 f"witness n0={b.witness_index}",
             ))
-    m05 = make_diag_metric(0.5)
+    m05 = metric_by_name("diag", alpha=0.5)
     b = i_cauchy_def_verdict(harmonic, m05, fin, 0.1, n)
     claims.append(_claim(
         "diag(alpha=0.5) eps=0.1 witness n0=11 with offenders {1..5}",
@@ -364,8 +359,7 @@ def audit_paper(window: Optional[int] = None) -> dict:
     ))
 
     # -- reciprocal metric: the harmonic sequence is not Cauchy.
-    from .metrics import default_function_f, make_reciprocal_function_metric
-    mr = make_reciprocal_function_metric(default_function_f(2.0, 64))
+    mr = metric_by_name("reciprocal")
     for eps in (0.1, 0.5, 1.0):
         b = i_cauchy_def_verdict(harmonic, mr, fin, eps, n)
         claims.append(_claim(
@@ -379,8 +373,7 @@ def audit_paper(window: Optional[int] = None) -> dict:
                          cc["consistent"]))
 
     # -- block sequence: pair-form witness is the union of blocks 1..21.
-    from .metrics import make_scaled_function_metric
-    ms = make_scaled_function_metric(default_function_f(2.0, 64))
+    ms = metric_by_name("scaled")
     pb = i_cauchy_pair_verdict(block_seq, ms, blk, 0.2, n)
     claims.append(_claim(
         "block sequence pair witness D = blocks 1..21 at eps=0.2",
@@ -400,10 +393,9 @@ def audit_paper(window: Optional[int] = None) -> dict:
     ))
 
     # -- implications hold over the scenario grid.
-    from .metrics import make_discrete_metric
     scen = [harmonic, block_seq, scenario_by_name("constant:0"),
             scenario_by_name("alternating")]
-    mets = [m05, ms, make_discrete_metric()]
+    mets = [m05, ms, metric_by_name("discrete")]
     imp = implication_audit(scen, (fin, d0, blk), mets, (0.1, 0.5), n)
     claims.append(_claim(
         "one-way implications and B(2eps) within A(eps) hold on the grid",
@@ -412,7 +404,7 @@ def audit_paper(window: Optional[int] = None) -> dict:
 
     # -- metric axioms.
     pts = (-1.0, -0.25, 0.0, 0.5, 2.0)
-    for metric in (m05, ms, make_discrete_metric()):
+    for metric in (m05, ms, metric_by_name("discrete")):
         rep = verify_axioms(metric, pts)
         claims.append(_claim(f"metric axioms hold: {metric.name}",
                              rep.all_pass()))
@@ -429,8 +421,8 @@ def audit_paper(window: Optional[int] = None) -> dict:
     ))
 
     # -- normed structure.
-    nd = make_scaled_diag_norm(1.0, 2.0)
-    na = make_real_abs_norm()
+    nd = norm_by_name("scaled-diag")
+    na = norm_by_name("real-abs")
     for nrm in (nd, na):
         rep = verify_norm_axioms(nrm, pts)
         claims.append(_claim(f"norm axioms hold: {nrm.name}", rep.all_pass()))

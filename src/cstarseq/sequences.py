@@ -10,6 +10,13 @@ scenario therefore carries one of three analytic tail models:
 * ``RecurringTail``   -- x_n eventually ranges over a fixed finite value set,
   each value recurring infinitely often.
 
+The verdict engines in ``convergence`` ask a tail model only these
+questions, which every model answers: ``tail_hits`` (can x_n equal c beyond
+the window?), ``offence_tail`` (the tail certificate of A(eps) about c),
+``center_classes`` (all centers, grouped by shared offence tail),
+``pair_status`` (do all, none or some pairs beyond a cut reach eps?), and
+the pair-form and I* searches ``pair_verdict`` and ``istar``.
+
 The built-ins mirror the audited constructions: the harmonic sequence
 x_n = 1/n, the block-harmonic sequence x_n = 1/j on Delta_j, constant
 sequences and the alternating sequence (-1)^n.
@@ -17,13 +24,121 @@ sequences and the alternating sequence (-1)^n.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .ideals import block_index
+from .ideals import (
+    IN,
+    NOT_IN,
+    UNKNOWN,
+    IdealKind,
+    SetDescription,
+    TailCertificate,
+    TailKind,
+    Verdict,
+    block_index,
+    block_mask,
+    block_union,
+    frozen_mask,
+    max_block_index,
+)
+from .metrics import ALL, MIXED, NONE, STATUSES, GapKind, GapProfile
+
+# Tail certificate of the offenders beyond the window, by offence status.
+STATUS_TAIL = {
+    NONE: TailCertificate.finite(),
+    ALL: TailCertificate.cofinite(),
+    MIXED: TailCertificate.unknown(),
+}
+
+# Block probes look at every block that meets the window and never at fewer
+# than PROBE_BLOCKS blocks; a zero-separation probe looks PROBE_BLOCKS
+# blocks further.
+PROBE_BLOCKS = 64
+
+
+def _around(limit: float, envelope: Callable[[int], float]) -> Callable:
+    """k -> [limit - envelope(k + 1), limit + envelope(k + 1)]."""
+    return lambda k: (limit - envelope(k + 1), limit + envelope(k + 1))
+
+
+def probe_depth(n_max: int) -> int:
+    return max(max_block_index(n_max), PROBE_BLOCKS)
+
+
+def gap_intervals(cs: np.ndarray, lo: float, hi: float) -> tuple:
+    """Bounds on |p - c| over p in [lo, hi], for each center c in ``cs``."""
+    glo = np.maximum(np.maximum(lo - cs, cs - hi), 0.0)
+    return glo, np.maximum(np.abs(cs - lo), np.abs(cs - hi))
+
+
+def _status_over(gp: GapProfile, lo: float, hi: float, eps: float,
+                 zero: bool, center: Optional[float] = None) -> str:
+    """Offence status over points confined to [lo, hi]: of the pairs among
+    them or, given a center, of their distances to it.  ``zero`` marks that
+    a zero separation can occur."""
+    if center is None:
+        glo, ghi = 0.0, max(hi - lo, 0.0)
+    else:  # bounds on |p - center| over p in [lo, hi]
+        glo = max(lo - center, center - hi, 0.0)
+        ghi = max(abs(center - lo), abs(center - hi))
+    return gp.interval_status(glo, ghi, eps, zero_attainable=zero)
+
+
+def _least_below(envelope, target: float, cap: int) -> int:
+    """Least j >= 1 with envelope(j) < target, for a nonincreasing envelope.
+
+    Doubling brackets the answer, bisection pins it: O(log j) evaluations.
+    Raises DomainError when no j <= cap qualifies.
+    """
+    if envelope(1) < target:
+        return 1
+    lo, hi = 1, 2  # invariant: envelope(lo) >= target
+    while envelope(hi) >= target:
+        if hi > cap:
+            raise DomainError("block cut search diverged")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if envelope(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    if hi > cap:
+        raise DomainError("block cut search diverged")
+    return hi
+
+
+class CenterClass(NamedTuple):
+    """Centers whose A(eps) sets share an offence tail: one of ``tails``,
+    all deciding alike when the class is decided.  ``index`` stands for the
+    class (or None), ``beyond`` certifies its indices beyond the window, and
+    ``key`` selects its window members (None: it has none)."""
+
+    key: object
+    index: Optional[int]
+    tails: tuple
+    beyond: TailCertificate
+
+
+@dataclass(frozen=True)
+class CenterClasses:
+    """Every center index, partitioned into classes in the order the
+    definition form tries them.  ``members(keys)`` is the window mask of the
+    classes with those keys; when ``exhaustive``, NotIn in every class
+    decides the definition form, whose certificates are then ``notin`` and
+    ``unknown``."""
+
+    classes: tuple
+    members: Callable[[list], np.ndarray]
+    exhaustive: bool
+    notin: str
+    unknown: str
 
 
 @dataclass(frozen=True)
@@ -32,38 +147,356 @@ class ConvergentTail:
     envelope: Callable[[int], float]  # |x_n - limit| <= envelope(n), noninc.
     # smallest closed interval containing {x_n : n > N}
     interval: Callable[[int], tuple] = None  # type: ignore[assignment]
+    # exact answer to "x_n == c for some n > N", when the generator has one
+    exact_hits: Optional[Callable[[float, int], bool]] = None
+
+    blockwise: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.interval is None:
-            env = self.envelope
-            lim = self.limit
-            object.__setattr__(
-                self, "interval",
-                lambda n_max: (lim - env(n_max + 1), lim + env(n_max + 1)),
+            object.__setattr__(self, "interval",
+                               _around(self.limit, self.envelope))
+
+    def tail_hits(self, s, c: float, n_max: int) -> bool:
+        if self.exact_hits is not None:
+            return self.exact_hits(c, n_max)
+        # An injective convergent sequence hits c at most once; a window hit
+        # excludes a tail hit.
+        if s.injective and any(
+            s.generator(n) == c for n in range(1, min(n_max, 64) + 1)
+        ):
+            return False
+        return abs(c - self.limit) <= self.envelope(n_max + 1)
+
+    def offence_tail(self, s, gp, c, eps, n_max) -> TailCertificate:
+        return STATUS_TAIL[self.pair_status(s, gp, n_max, eps, c)]
+
+    def pair_status(self, s, gp, cut, eps, center=None) -> str:
+        """Over the points x_n with n > cut."""
+        zero = (not s.injective if center is None
+                else self.tail_hits(s, center, cut))
+        return _status_over(gp, *self.interval(cut), eps, zero, center)
+
+    def schedule(self, s, gp, eps, n_max) -> list[int]:
+        """Deterministic candidate centers: the first window index within
+        eps of the limit, then powers of two up to the window."""
+        near = np.flatnonzero(
+            gp.norm_of_gaps(np.abs(s.points(n_max) - self.limit)) < eps
+        )
+        powers = [1 << k for k in range(int(n_max).bit_length())]
+        return list(dict.fromkeys((near[:1] + 1).tolist() + powers))
+
+    def center_classes(self, s, gp, eps, n_max) -> CenterClasses:
+        """Window centers by the offence status of their A(eps) tail (only
+        NONE decides In), each stood for by its first scheduled center, then
+        the centers beyond the window.  The definition form tries only the
+        schedule, so these classes are not exhaustive for it: its NotIn
+        comes from the distance floor."""
+        pts = s.points(n_max)
+        if s.injective:
+            zero = np.zeros(n_max, dtype=bool)
+        elif self.exact_hits is None:  # tail_hits' default rule, elementwise
+            zero = np.abs(pts - self.limit) <= self.envelope(n_max + 1)
+        else:
+            values, where = np.unique(pts, return_inverse=True)
+            zero = np.array(
+                [self.exact_hits(float(p), n_max) for p in values], dtype=bool
+            )[where]
+        glo, ghi = gap_intervals(pts, *self.interval(n_max))
+        codes = gp.interval_status_codes(glo, ghi, eps, zero)
+        schedule = self.schedule(s, gp, eps, n_max)
+        classes = []
+        for c in np.flatnonzero(np.bincount(codes)).tolist():
+            first = next((n for n in schedule if codes[n - 1] == c), None)
+            classes.append(CenterClass(c, first, (STATUS_TAIL[STATUSES[c]],),
+                                       TailCertificate.finite()))
+        far = STATUS_TAIL[self.pair_status(s, gp, n_max, eps)]
+        classes.append(CenterClass(None, None, (far,),
+                                   TailCertificate.cofinite()))
+        return CenterClasses(
+            tuple(classes), lambda keys: frozen_mask(np.isin(codes, keys)),
+            False, "", "schedule exhausted without certificate",
+        )
+
+    def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
+        """D = the empty set, else D = E_k(eps/3) for a scheduled k: a
+        finite D off which the window points, with the whole tail, lie in
+        an interval where every pair stays below eps."""
+        pts = s.points(n_max)
+        if self._off_d_status(s, gp, pts, eps, n_max) == NONE:
+            return dict(
+                verdict=Verdict(IN, "all pairwise distances certified < eps"),
+                witness_set=SetDescription.empty(n_max),
+                trace="D = empty set",
             )
+        for k in self.schedule(s, gp, eps / 3.0, n_max):
+            c = float(s.generator(k))
+            tail = self.offence_tail(s, gp, c, eps / 3.0, n_max)
+            if tail.kind is not TailKind.FINITE:
+                continue
+            d_mask = frozen_mask(s.offenders(gp, c, eps / 3.0, n_max))
+            if self._off_d_status(s, gp, pts[~d_mask], eps, n_max) == NONE:
+                return dict(
+                    verdict=Verdict(IN, "off-D pairwise distances certified "
+                                        "< eps"),
+                    witness_set=SetDescription(d_mask, n_max, tail),
+                    witness_index=k, trace=f"D = E_k(eps/3) with k={k}",
+                )
+        return None
+
+    def _off_d_status(self, s, gp, pts_off, eps, n_max) -> str:
+        """Pair status over the off-D window points and the whole tail."""
+        lo, hi = self.interval(n_max)
+        if pts_off.size:
+            lo = min(lo, float(np.min(pts_off)))
+            hi = max(hi, float(np.max(pts_off)))
+        return _status_over(gp, lo, hi, eps, not s.injective)
+
+    def istar(self, s, gp, witness, eps, n_max, limit) -> dict:
+        """Double the cut until the far pairs (or the far distances to the
+        limit) are decided.  A set in the dual filter is infinite, so the
+        witness needs no inspection."""
+        pairs = limit is None
+        cut = 1
+        while cut <= 2 ** 48:
+            status = self.pair_status(s, gp, cut, eps, limit)
+            if status == NONE:
+                return dict(verdict=Verdict(
+                    IN, "subsequence pairs beyond the cut < eps" if pairs
+                    else "tail distances to the limit < eps"), cut_index=cut)
+            if status == ALL:
+                return dict(verdict=Verdict(
+                    NOT_IN, "all far pairs keep distance >= eps" if pairs
+                    else "tail distances to the limit >= eps"))
+            cut *= 2
+        return dict(verdict=Verdict(
+            UNKNOWN, "no pair cut certified" if pairs else "no cut certified"))
 
 
 @dataclass(frozen=True)
 class BlockTail:
-    value: Callable[[int], float]     # x_n = value(block_index(n))
+    # x_n = value(block_index(n)); takes an int or an int64 array
+    value: Callable[[int], float]
     limit: float
     envelope: Callable[[int], float]  # |value(j) - limit| <= envelope(j)
     # smallest closed interval containing {value(i) : i > j}
     value_interval: Callable[[int], tuple] = None  # type: ignore[assignment]
 
+    interval: ClassVar[None] = None   # every block recurs; no tail interval
+    blockwise: ClassVar[bool] = True
+
     def __post_init__(self):
         if self.value_interval is None:
-            env = self.envelope
-            lim = self.limit
-            object.__setattr__(
-                self, "value_interval",
-                lambda j: (lim - env(j + 1), lim + env(j + 1)),
-            )
+            object.__setattr__(self, "value_interval",
+                               _around(self.limit, self.envelope))
+
+    def tail_hits(self, s, c: float, n_max: int) -> bool:
+        jcap = max_block_index(n_max) + PROBE_BLOCKS
+        return bool(np.any(self.value(np.arange(1, jcap + 1)) == c))
+
+    def offence_tail(self, s, gp, c, eps, n_max) -> TailCertificate:
+        # Deepen the probe while the far-block interval stays ambiguous;
+        # the interval shrinks toward the limit, so the status stabilizes
+        # unless the gap norm sits exactly on the eps boundary.
+        jprobe = probe_depth(n_max)
+        while True:
+            ahead = np.arange(jprobe + 1, jprobe + PROBE_BLOCKS + 1)
+            zero = bool(np.any(self.value(ahead) == c))
+            status = _status_over(gp, *self.value_interval(jprobe), eps,
+                                  zero, c)
+            if status != MIXED or jprobe >= 1 << 20:
+                break
+            jprobe *= 2
+        if status == MIXED:
+            return TailCertificate.unknown()
+        gaps = np.abs(self.value(np.arange(1, jprobe + 1)) - c)
+        offends = gp.norm_of_gaps(gaps) >= eps
+        if status == NONE:
+            return TailCertificate.block_bounded(np.flatnonzero(offends) + 1)
+        return TailCertificate.block_cobounded(np.flatnonzero(~offends) + 1)
+
+    def pair_status(self, s, gp, cut, eps, center=None) -> str:
+        """Over the values of the blocks beyond block ``cut``; each recurs,
+        so a zero separation can occur."""
+        return _status_over(gp, *self.value_interval(cut), eps, True, center)
+
+    def center_classes(self, s, gp, eps, n_max) -> CenterClasses:
+        """A center's offence tail depends only on its block: one class per
+        block up to the probe depth, stood for by its first member, then the
+        farther blocks.  Their values lie in a small interval around the
+        limit; per-block offence can stay ambiguous for finitely many blocks
+        without changing the decision, so the far class carries both
+        resolutions of the ambiguity."""
+        jprobe = probe_depth(n_max)
+        classes = [
+            CenterClass(j, 1 << (j - 1),
+                        (self.offence_tail(s, gp, self.value(j), eps, n_max),),
+                        TailCertificate(TailKind.BLOCK_BOUNDED, frozenset((j,))))
+            for j in range(1, jprobe + 1)
+        ]
+        lo, hi = self.value_interval(jprobe)
+        glo, ghi = gap_intervals(self.value(np.arange(1, jprobe + 1)), lo, hi)
+        codes = gp.interval_status_codes(glo, ghi, eps,
+                                         np.zeros(jprobe, dtype=bool))
+        quiet, loud, mixed = ((np.flatnonzero(codes == k) + 1).tolist()
+                              for k in range(3))
+        far_status = _status_over(gp, lo, hi, eps, True)
+        if far_status == MIXED:
+            tails = ()
+        elif far_status == NONE:
+            tails = (TailCertificate.block_bounded(loud),
+                     TailCertificate.block_bounded(loud + mixed))
+        else:
+            tails = (TailCertificate.block_cobounded(quiet + mixed),
+                     TailCertificate.block_cobounded(quiet))
+        classes.append(CenterClass(
+            None, None, tails,
+            TailCertificate.block_cobounded(range(1, jprobe + 1)),
+        ))
+        return CenterClasses(
+            tuple(classes), lambda keys: block_mask(set(keys), n_max), True,
+            "block case split: every center block fails",
+            "block case split inconclusive",
+        )
+
+    def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
+        if ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR:
+            # Cut rule: smallest J with envelope(J) < eps / (2 * scale);
+            # off the first J blocks every pair norm stays below eps.
+            j_cut = _least_below(self.envelope, eps / (2.0 * gp.scale),
+                                 10 ** 9)
+            if self.pair_status(s, gp, j_cut, eps) == NONE:
+                return dict(
+                    verdict=Verdict(IN, "off-D blocks have pairwise "
+                                        "distances < eps"),
+                    witness_set=block_union(range(1, j_cut + 1), n_max),
+                    cut_index=j_cut, trace=f"D = union of blocks 1..{j_cut}",
+                )
+        if ideal.kind is IdealKind.FIN:
+            # Finite D cannot remove any block; every distinct-block pair
+            # recurs beyond it.
+            vals = [self.value(j) for j in range(1, probe_depth(n_max) + 1)]
+            for i, j in itertools.combinations(range(len(vals)), 2):
+                if gp.offends(abs(vals[i] - vals[j]), eps):
+                    return dict(verdict=Verdict(
+                        NOT_IN, f"blocks {i + 1},{j + 1} recur off every "
+                                f"finite D with distance >= eps"))
+        floor = s.pair_floor(gp)
+        if ideal.kind is IdealKind.BLOCK and floor is not None and floor >= eps:
+            # Off any block-ideal D infinitely many whole blocks remain;
+            # their distinct values defeat discrete/reciprocal bounds.
+            return dict(verdict=Verdict(
+                NOT_IN, "distinct block values keep distance >= eps off "
+                        "every D in the ideal"))
+        return None
+
+    def istar(self, s, gp, witness, eps, n_max, limit) -> dict:
+        """A witness keeps every block (cofinite) or all but finitely many
+        (block-cobounded); an offending block, or pair of blocks, among the
+        kept ones recurs beyond every cut."""
+        if witness.tail.kind not in (TailKind.COFINITE,
+                                     TailKind.BLOCK_COBOUNDED):
+            return dict(verdict=Verdict(UNKNOWN,
+                                        "witness block structure unknown"))
+        jprobe = probe_depth(n_max)
+        active = [j for j in range(1, jprobe + 1)
+                  if j not in witness.tail.blocks]
+        if limit is None:
+            for i, j in itertools.combinations(active, 2):
+                gap = abs(self.value(i) - self.value(j))
+                if gp.offends(gap, eps):
+                    norm = gp.norm_of_gap(gap)
+                    return dict(verdict=Verdict(
+                        NOT_IN, f"blocks {i},{j} stay in the witness with "
+                                f"distance {norm!r} >= eps"),
+                        trace=f"defeating gap norm {norm!r}")
+            if active and self.pair_status(s, gp, active[0] - 1, eps) == NONE:
+                return dict(verdict=Verdict(
+                    IN, "all active-block pairs certified < eps"),
+                    cut_index=active[0])
+            return dict(verdict=Verdict(UNKNOWN,
+                                        "active block pairs inconclusive"))
+        for j in active:
+            if gp.offends(abs(self.value(j) - limit), eps):
+                return dict(verdict=Verdict(
+                    NOT_IN, f"active block {j} keeps distance >= eps from "
+                            f"the limit"))
+        if self.pair_status(s, gp, jprobe, eps, limit) == NONE:
+            return dict(verdict=Verdict(
+                IN, "all active blocks within eps of the limit"),
+                cut_index=active[0] if active else 1)
+        return dict(verdict=Verdict(UNKNOWN, "far blocks undecided"))
 
 
 @dataclass(frozen=True)
 class RecurringTail:
     values: tuple                     # x_n in values for all n; each recurs
+
+    interval: ClassVar[None] = None   # the values recur; no limit
+    blockwise: ClassVar[bool] = False
+
+    def tail_hits(self, s, c: float, n_max: int) -> bool:
+        return c in self.values
+
+    def offence_tail(self, s, gp, c, eps, n_max) -> TailCertificate:
+        status = self.pair_status(s, gp, n_max, eps, c)
+        if status == MIXED:
+            return TailCertificate.infinite()
+        return STATUS_TAIL[status]
+
+    def pair_status(self, s, gp, cut, eps, center=None) -> str:
+        """Over the values, which recur beyond every cut."""
+        if center is None:
+            gaps = [abs(v - w) for v in self.values for w in self.values]
+        else:
+            gaps = [abs(v - center) for v in self.values]
+        hits = [gp.offends(g, eps) for g in gaps]
+        return NONE if not any(hits) else ALL if all(hits) else MIXED
+
+    def center_classes(self, s, gp, eps, n_max) -> CenterClasses:
+        """One class per value, stood for by its first window index (1
+        when the window misses it)."""
+        pts = s.points(n_max)
+        classes = []
+        for v in self.values:
+            hits = np.flatnonzero(pts == v)
+            classes.append(CenterClass(
+                v, int(hits[0]) + 1 if hits.size else 1,
+                (self.offence_tail(s, gp, v, eps, n_max),),
+                TailCertificate.infinite(),
+            ))
+        return CenterClasses(
+            tuple(classes), lambda keys: frozen_mask(np.isin(pts, keys)), True,
+            "every recurring center value fails",
+            "recurring case split inconclusive",
+        )
+
+    def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
+        if self.pair_status(s, gp, n_max, eps) == NONE:
+            return dict(verdict=Verdict(IN, "all recurring value pairs < eps"),
+                        witness_set=SetDescription.empty(n_max))
+        if ideal.kind is IdealKind.FIN:
+            return dict(verdict=Verdict(
+                NOT_IN, "a recurring value pair keeps distance >= eps off "
+                        "every finite D"))
+        return None
+
+    def istar(self, s, gp, witness, eps, n_max, limit) -> dict:
+        """Only a cofinite witness certifies that every value recurs in it."""
+        if witness.tail.kind is not TailKind.COFINITE:
+            return dict(verdict=Verdict(
+                UNKNOWN, "witness does not certify which values recur"))
+        if self.pair_status(s, gp, n_max, eps, limit) == NONE:
+            return dict(verdict=Verdict(
+                IN, "recurring value pairs all < eps" if limit is None
+                else "all recurring values within eps of the limit"),
+                cut_index=1)
+        if limit is None:
+            return dict(verdict=Verdict(
+                NOT_IN, "a recurring value pair keeps distance >= eps"))
+        v = next(v for v in self.values if gp.offends(abs(v - limit), eps))
+        return dict(verdict=Verdict(
+            NOT_IN, f"recurring value {v} stays >= eps from the limit"))
 
 
 TailModel = Union[ConvergentTail, BlockTail, RecurringTail]
@@ -102,24 +535,23 @@ class SequenceScenario:
         """Can x_n == c for some n beyond the window?  Conservative (True
         when uncertain); used to rule zero separations in or out."""
         model = self.tail_model
-        if isinstance(model, ConvergentTail):
-            if self.name == "harmonic":
-                if c <= 0.0:
-                    return False
-                inv = 1.0 / c
-                return abs(inv - round(inv)) < 1e-9 and round(inv) > n_max
-            if self.injective:
-                # An injective convergent sequence hits c at most once; a
-                # window hit excludes a tail hit.
-                if any(self.generator(n) == c for n in range(1, min(n_max, 64) + 1)):
-                    return False
-            return abs(c - model.limit) <= model.envelope(n_max + 1)
-        if isinstance(model, BlockTail):
-            jcap = int(n_max).bit_length()
-            return any(model.value(j) == c for j in range(1, jcap + 65))
-        if isinstance(model, RecurringTail):
-            return c in model.values
-        return True
+        return model is None or model.tail_hits(self, c, n_max)
+
+    def offenders(self, gp: GapProfile, c: float, eps: float,
+                  n_max: int) -> np.ndarray:
+        """Window mask of {n <= N : ||d(x_n, c)|| >= eps} under ``gp``."""
+        return gp.norm_of_gaps(np.abs(self.points(n_max) - c)) >= eps
+
+    def pair_floor(self, gp: GapProfile) -> Optional[float]:
+        """A lower bound on ||d(x_m, x_n)|| over all pairs of *distinct
+        points* of the scenario, when the gap profile admits one."""
+        lo, hi = self.point_bounds
+        diam = hi - lo
+        if gp.kind is GapKind.RECIPROCAL:
+            return math.inf if diam == 0.0 else gp.scale / diam
+        if gp.kind is GapKind.DISCRETE:
+            return gp.scale
+        return None  # linear norms vanish on nearby points
 
     def to_json(self):
         return {"name": self.name}
@@ -132,6 +564,14 @@ class SequenceScenario:
 # Built-ins
 
 
+def _harmonic_hits(c: float, n_max: int) -> bool:
+    """1/n == c for some n > N exactly when 1/c is an integer beyond N."""
+    if c <= 0.0:
+        return False
+    inv = 1.0 / c
+    return abs(inv - round(inv)) < 1e-9 and round(inv) > n_max
+
+
 def make_harmonic() -> SequenceScenario:
     return SequenceScenario(
         name="harmonic",
@@ -140,6 +580,7 @@ def make_harmonic() -> SequenceScenario:
             limit=0.0,
             envelope=lambda n: 1.0 / n,
             interval=lambda n_max: (0.0, 1.0 / (n_max + 1)),
+            exact_hits=_harmonic_hits,
         ),
         point_bounds=(0.0, 1.0),
         injective=True,
@@ -186,15 +627,22 @@ def make_alternating() -> SequenceScenario:
     )
 
 
+# Scenario factories by base name, in listing order, each with the argument
+# its listed name carries ("constant:0"); None marks a factory that takes
+# no argument.
+SCENARIOS = {
+    "harmonic": (make_harmonic, None),
+    "block-harmonic": (make_block_harmonic, None),
+    "alternating": (make_alternating, None),
+    "constant": (make_constant, "0"),
+}
+
+
 def scenario_by_name(name: str, **params) -> SequenceScenario:
-    if name == "harmonic":
-        return make_harmonic()
-    if name == "block-harmonic":
-        return make_block_harmonic()
-    if name == "alternating":
-        return make_alternating()
-    if name == "constant" or name.startswith("constant:"):
-        if ":" in name:
-            return make_constant(float(name.split(":", 1)[1]))
-        return make_constant(float(params.get("value", 0.0)))
-    raise DomainError(f"unknown scenario {name!r}")
+    base, sep, arg = name.partition(":")
+    factory, listed_arg = SCENARIOS.get(base, (None, None))
+    if factory is None or (sep and listed_arg is None):
+        raise DomainError(f"unknown scenario {name!r}")
+    if listed_arg is None:
+        return factory()
+    return factory(float(arg) if sep else float(params.get("value", 0.0)))

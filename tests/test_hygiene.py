@@ -1,0 +1,79 @@
+"""Source hygiene of the package, checked on its syntax trees.
+
+* Every name a module imports at top level is used in that module; the
+  package ``__init__`` re-exports and ``from __future__`` imports are
+  exempt.
+* Only ``sequences`` asks which tail model a scenario carries: outside it,
+  no ``isinstance`` check names a tail-model class.  The engines go through
+  the tail-model protocol instead.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cstarseq
+
+PACKAGE = Path(cstarseq.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+TAIL_MODELS = {"ConvergentTail", "BlockTail", "RecurringTail"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Top-level imported name -> line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Names read anywhere, including inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted)
+                        if isinstance(n, ast.Name))
+    return used
+
+
+def _names_in(node: ast.AST) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    tree = _tree(path)
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in _used_names(tree)}
+    assert unused == {}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sequences.py"],
+                         ids=lambda p: p.name)
+def test_no_tail_model_isinstance_outside_sequences(path):
+    offending = [
+        node.lineno for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and _names_in(node.args[1]) & TAIL_MODELS
+    ]
+    assert offending == []

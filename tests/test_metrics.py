@@ -18,6 +18,7 @@ from cstarseq.metrics import (
     GapProfile,
     MIXED,
     NONE,
+    STATUSES,
     distance_norm,
     default_function_f,
     make_diag_metric,
@@ -174,3 +175,28 @@ class TestAxiomVerification:
     def test_needs_three_points(self):
         with pytest.raises(PreconditionError):
             verify_axioms(make_discrete_metric(), (0.0, 1.0))
+
+
+# Separations on and off the status boundaries: with the scales and eps
+# below, every cut scale / eps and eps / scale is one of these values.
+_GAPS = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]) | st.floats(
+    min_value=0.0, max_value=10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(GapKind)),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 4.0])
+    | st.floats(min_value=1e-6, max_value=10.0),
+    st.lists(st.tuples(_GAPS, _GAPS, st.booleans()), min_size=1, max_size=16),
+)
+def test_vectorised_interval_status_agrees_with_scalar(kind, scale, eps, rows):
+    gp = GapProfile(kind, scale)
+    glo = np.array([min(a, b) for a, b, _ in rows])
+    ghi = np.array([max(a, b) for a, b, _ in rows])
+    zero = np.array([z for _, _, z in rows])
+    codes = gp.interval_status_codes(glo, ghi, eps, zero)
+    want = [gp.interval_status(lo, hi, eps, zero_attainable=bool(z))
+            for lo, hi, z in zip(glo, ghi, zero)]
+    assert [STATUSES[c] for c in codes] == want
