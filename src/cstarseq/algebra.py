@@ -7,26 +7,19 @@ module provides the involution, the operator norm, the spectrum, the
 positivity predicate and the induced partial order ``a precedes b`` iff
 ``b - a`` is positive.
 
-Self-adjoint matrix spectra are computed with a cyclic Jacobi iteration;
-for 2x2 inputs the closed-form characteristic roots are used as an internal
-cross-check.
+Matrix norms and spectra go through LAPACK: the operator norm is the
+largest singular value, and self-adjoint spectra come from the Hermitian
+eigensolver applied to the Hermitian part.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NumericError,
-    StructuralError,
-)
+from .errors import DomainError, StructuralError
 
 MAX_MATRIX_DIM = 16
 MAX_GRID_SIZE = 4096
@@ -176,76 +169,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver for Hermitian matrices
-
-
-def _hermitian_eigvals(h: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix via cyclic complex Jacobi sweeps.
-
-    Returns the eigenvalues sorted ascending.  Raises NumericError with the
-    final off-diagonal residual if the sweep budget is exhausted.
-    """
-    n = h.shape[0]
-    a = np.array(h, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = max(1.0, float(np.max(np.abs(a))))
-    stop = 1e-15 * scale * n
-
-    def offdiag_norm(m):
-        mask = ~np.eye(n, dtype=bool)
-        return float(np.sqrt(np.sum(np.abs(m[mask]) ** 2)))
-
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                theta = cmath.phase(apq)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (
-                        abs(tau) + math.sqrt(1.0 + tau * tau)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ephi = cmath.exp(-1j * theta)
-                # columns: A <- A J with J = [[c, s], [-s e^{-i t}, c e^{-i t}]]
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * ephi * colq
-                a[:, q] = s * colp + c * ephi * colq
-                # rows: A <- J^H A
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * ephi.conjugate() * rowq
-                a[q, :] = s * rowp + c * ephi.conjugate() * rowq
-    else:
-        if offdiag_norm(a) > stop:
-            raise NumericError(
-                "Jacobi iteration did not converge",
-                residual=offdiag_norm(a),
-            )
-    return np.sort(np.diag(a).real)
-
-
-def _char_roots_2x2(m: np.ndarray) -> list[complex]:
-    """Closed-form characteristic roots of a 2x2 matrix."""
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    disc = cmath.sqrt((a - d) ** 2 + 4.0 * b * c)
-    return [((a + d) - disc) / 2.0, ((a + d) + disc) / 2.0]
-
-
-# ---------------------------------------------------------------------------
 # Operator norm, spectrum, positivity, order
 
 
@@ -253,9 +176,7 @@ def op_norm(a: AlgebraElement) -> float:
     """Operator norm: largest singular value (matrices), sup over samples."""
     if a.descriptor.kind == FUNCTION:
         return float(np.max(np.abs(a.entries))) if a.entries.size else 0.0
-    aa = a.entries.conj().T @ a.entries
-    eigs = _hermitian_eigvals(aa)
-    return math.sqrt(max(float(eigs[-1]), 0.0))
+    return float(np.linalg.svd(a.entries, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -275,48 +196,46 @@ def _sorted_spec(values: Iterable[complex], tol: ToleranceProfile) -> Spectrum:
     return Spectrum(values=tuple(vals), is_real=flags)
 
 
-def is_self_adjoint(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+def _self_adjoint_and_norm(a: AlgebraElement, tol: ToleranceProfile) -> tuple:
+    """(whether ||a - a*|| <= tol * (1 + ||a||), ||a||)."""
+    norm_a = op_norm(a)
     dev = op_norm(a - involution(a))
-    return dev <= tol.self_adjoint_tol * (1.0 + op_norm(a))
+    return dev <= tol.self_adjoint_tol * (1.0 + norm_a), norm_a
+
+
+def _hermitian_part(a: AlgebraElement) -> np.ndarray:
+    return (a.entries + a.entries.conj().T) / 2.0
+
+
+def is_self_adjoint(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
+    return _self_adjoint_and_norm(a, tol)[0]
 
 
 def spectrum(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum:
     """All spectral values of ``a``.
 
     Function elements are multiplication operators, so the spectrum is the
-    multiset of sample values.  Self-adjoint matrices go through the Jacobi
-    iteration; for dim 2 the result is cross-checked against the closed-form
-    characteristic roots.
+    multiset of sample values.  Self-adjoint matrices go through LAPACK's
+    Hermitian eigensolver on their Hermitian part; other matrices through
+    its general eigensolver.
     """
     if a.descriptor.kind == FUNCTION:
         return _sorted_spec(a.entries, tol)
     if is_self_adjoint(a, tol):
-        herm = (a.entries + a.entries.conj().T) / 2.0
-        vals = _hermitian_eigvals(herm)
-        if a.descriptor.dim == 2:
-            roots = sorted(r.real for r in _char_roots_2x2(herm))
-            for got, want in zip(vals, roots):
-                if abs(got - want) > 1e-10 * (1.0 + abs(want)):
-                    raise InternalConsistencyError(
-                        f"Jacobi eigenvalue {got} disagrees with closed-form "
-                        f"root {want}"
-                    )
-        return _sorted_spec(vals, tol)
-    # Non-self-adjoint spectra are only needed incidentally; defer to LAPACK.
+        return _sorted_spec(np.linalg.eigvalsh(_hermitian_part(a)), tol)
+    # Non-self-adjoint spectra are only needed incidentally.
     return _sorted_spec(np.linalg.eigvals(a.entries), tol)
 
 
 def is_positive(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff ``a`` is self-adjoint and its spectrum sits in [0, inf)."""
-    norm_a = op_norm(a)
-    dev = op_norm(a - involution(a))
-    if dev > tol.self_adjoint_tol * (1.0 + norm_a):
+    self_adjoint, norm_a = _self_adjoint_and_norm(a, tol)
+    if not self_adjoint:
         return False
     if a.descriptor.kind == FUNCTION:
         min_val = float(np.min(a.entries.real)) if a.entries.size else 0.0
     else:
-        herm = (a.entries + a.entries.conj().T) / 2.0
-        min_val = float(_hermitian_eigvals(herm)[0])
+        min_val = float(np.linalg.eigvalsh(_hermitian_part(a))[0])
     return min_val >= -tol.positivity_tol * (1.0 + norm_a)
 
 

@@ -24,7 +24,6 @@ sequences and the alternating sequence (-1)^n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple, Optional, Union
@@ -88,6 +87,19 @@ def _status_over(gp: GapProfile, lo: float, hi: float, eps: float,
         glo = max(lo - center, center - hi, 0.0)
         ghi = max(abs(center - lo), abs(center - hi))
     return gp.interval_status(glo, ghi, eps, zero_attainable=zero)
+
+
+def _first_offending_pair(gp: GapProfile, vals: np.ndarray, eps: float):
+    """First ``(i, j, gap)`` with i < j, in ``itertools.combinations``
+    order, whose separation ``gap = |vals[i] - vals[j]|`` offends; None when
+    no pair does.  Row-major ``argwhere`` over the upper triangle keeps
+    that order."""
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    hits = np.argwhere(np.triu(gp.norm_of_gaps(gaps) >= eps, 1))
+    if not hits.size:
+        return None
+    i, j = hits[0]
+    return int(i), int(j), float(gaps[i, j])
 
 
 def _least_below(envelope, target: float, cap: int) -> int:
@@ -375,12 +387,13 @@ class BlockTail:
         if ideal.kind is IdealKind.FIN:
             # Finite D cannot remove any block; every distinct-block pair
             # recurs beyond it.
-            vals = [self.value(j) for j in range(1, probe_depth(n_max) + 1)]
-            for i, j in itertools.combinations(range(len(vals)), 2):
-                if gp.offends(abs(vals[i] - vals[j]), eps):
-                    return dict(verdict=Verdict(
-                        NOT_IN, f"blocks {i + 1},{j + 1} recur off every "
-                                f"finite D with distance >= eps"))
+            pair = _first_offending_pair(
+                gp, self.value(np.arange(1, probe_depth(n_max) + 1)), eps)
+            if pair is not None:
+                i, j, _ = pair
+                return dict(verdict=Verdict(
+                    NOT_IN, f"blocks {i + 1},{j + 1} recur off every "
+                            f"finite D with distance >= eps"))
         floor = s.pair_floor(gp)
         if ideal.kind is IdealKind.BLOCK and floor is not None and floor >= eps:
             # Off any block-ideal D infinitely many whole blocks remain;
@@ -401,26 +414,27 @@ class BlockTail:
         jprobe = probe_depth(n_max)
         active = [j for j in range(1, jprobe + 1)
                   if j not in witness.tail.blocks]
+        vals = self.value(np.array(active, dtype=np.int64))
         if limit is None:
-            for i, j in itertools.combinations(active, 2):
-                gap = abs(self.value(i) - self.value(j))
-                if gp.offends(gap, eps):
-                    norm = gp.norm_of_gap(gap)
-                    return dict(verdict=Verdict(
-                        NOT_IN, f"blocks {i},{j} stay in the witness with "
-                                f"distance {norm!r} >= eps"),
-                        trace=f"defeating gap norm {norm!r}")
+            pair = _first_offending_pair(gp, vals, eps)
+            if pair is not None:
+                i, j, gap = pair
+                norm = gp.norm_of_gap(gap)
+                return dict(verdict=Verdict(
+                    NOT_IN, f"blocks {active[i]},{active[j]} stay in the "
+                            f"witness with distance {norm!r} >= eps"),
+                    trace=f"defeating gap norm {norm!r}")
             if active and self.pair_status(s, gp, active[0] - 1, eps) == NONE:
                 return dict(verdict=Verdict(
                     IN, "all active-block pairs certified < eps"),
                     cut_index=active[0])
             return dict(verdict=Verdict(UNKNOWN,
                                         "active block pairs inconclusive"))
-        for j in active:
-            if gp.offends(abs(self.value(j) - limit), eps):
-                return dict(verdict=Verdict(
-                    NOT_IN, f"active block {j} keeps distance >= eps from "
-                            f"the limit"))
+        far = np.flatnonzero(gp.norm_of_gaps(np.abs(vals - limit)) >= eps)
+        if far.size:
+            return dict(verdict=Verdict(
+                NOT_IN, f"active block {active[far[0]]} keeps distance >= "
+                        f"eps from the limit"))
         if self.pair_status(s, gp, jprobe, eps, limit) == NONE:
             return dict(verdict=Verdict(
                 IN, "all active blocks within eps of the limit"),

@@ -1,15 +1,17 @@
 """Algebra layer: arithmetic, involution, norms, spectra, positivity."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cstarseq.algebra import (
-    AlgebraDescriptor,
+    DEFAULT_TOL,
     AlgebraElement,
-    const_function,
     function_algebra,
     function_element,
     involution,
@@ -27,6 +29,68 @@ from cstarseq.errors import DomainError, NumericError, StructuralError
 finite = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference eigensolver, independent of LAPACK: cyclic complex Jacobi sweeps.
+
+
+def _hermitian_eigvals(h: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix via cyclic complex Jacobi sweeps.
+
+    Returns the eigenvalues sorted ascending.  Raises NumericError with the
+    final off-diagonal residual if the sweep budget is exhausted.
+    """
+    n = h.shape[0]
+    a = np.array(h, dtype=complex)
+    if n == 1:
+        return np.array([a[0, 0].real])
+    scale = max(1.0, float(np.max(np.abs(a))))
+    stop = 1e-15 * scale * n
+
+    def offdiag_norm(m):
+        mask = ~np.eye(n, dtype=bool)
+        return float(np.sqrt(np.sum(np.abs(m[mask]) ** 2)))
+
+    for _ in range(max_sweeps):
+        if offdiag_norm(a) <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= 1e-18 * scale:
+                    continue
+                theta = cmath.phase(apq)
+                app = a[p, p].real
+                aqq = a[q, q].real
+                tau = (aqq - app) / (2.0 * r)
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = math.copysign(1.0, tau) / (
+                        abs(tau) + math.sqrt(1.0 + tau * tau)
+                    )
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                ephi = cmath.exp(-1j * theta)
+                # columns: A <- A J with J = [[c, s], [-s e^{-i t}, c e^{-i t}]]
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                a[:, p] = c * colp - s * ephi * colq
+                a[:, q] = s * colp + c * ephi * colq
+                # rows: A <- J^H A
+                rowp = a[p, :].copy()
+                rowq = a[q, :].copy()
+                a[p, :] = c * rowp - s * ephi.conjugate() * rowq
+                a[q, :] = s * rowp + c * ephi.conjugate() * rowq
+    else:
+        if offdiag_norm(a) > stop:
+            raise NumericError(
+                "Jacobi iteration did not converge",
+                residual=offdiag_norm(a),
+            )
+    return np.sort(np.diag(a).real)
 
 
 def random_matrix(rng, dim, complex_entries=True):
@@ -119,6 +183,7 @@ class TestNormAndSpectrum:
             got = [v.real for v in spectrum(a).values]
             want = np.sort(np.linalg.eigvalsh(a.entries))
             assert np.allclose(got, want, atol=1e-10)
+            assert np.allclose(got, _hermitian_eigvals(a.entries), atol=1e-10)
 
     def test_op_norm_matches_lapack(self):
         rng = np.random.default_rng(12)
@@ -126,6 +191,9 @@ class TestNormAndSpectrum:
             a = random_matrix(rng, dim)
             want = float(np.linalg.norm(a.entries, 2))
             assert op_norm(a) == pytest.approx(want, abs=1e-10)
+            gram = a.entries.conj().T @ a.entries
+            jacobi = math.sqrt(max(float(_hermitian_eigvals(gram)[-1]), 0.0))
+            assert op_norm(a) == pytest.approx(jacobi, abs=1e-10)
 
     def test_scalar_algebra(self):
         a = matrix_element([[-4.0]])
@@ -161,6 +229,30 @@ class TestPositivityAndOrder:
             b = a + multiply(involution(y), y)
             assert precedes(a, b)
             assert op_norm(a) <= op_norm(b) + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, (3, 3), elements=finite),
+           arrays(np.float64, (3, 3), elements=finite),
+           arrays(np.float64, (3, 3), elements=finite),
+           arrays(np.float64, (3, 3), elements=finite),
+           st.floats(min_value=-4.0, max_value=4.0))
+    def test_positivity_and_self_adjointness_share_one_rule(
+            self, x_re, x_im, y_re, y_im, log_factor):
+        # a = p + t k with p >= 0 and k* = -k, so ||a - a*|| = 2 t ||k||;
+        # t makes t ||k|| equal 10^log_factor * self_adjoint_tol * (1 + ||p||).
+        x = x_re + 1j * x_im
+        y = y_re + 1j * y_im
+        p = matrix_element(x.conj().T @ x, "complex")
+        k = matrix_element((y - y.conj().T) / 2.0, "complex")
+        assume(op_norm(k) > 1e-6)
+        t = (10.0 ** log_factor * DEFAULT_TOL.self_adjoint_tol
+             * (1.0 + op_norm(p)) / op_norm(k))
+        a = p + t * k
+        assert not is_positive(a) or is_self_adjoint(a)
+        if log_factor <= -2.0:
+            assert is_self_adjoint(a) and is_positive(a)
+        if log_factor >= 2.0:
+            assert not is_self_adjoint(a) and not is_positive(a)
 
     def test_function_positivity(self):
         assert is_positive(function_element([0.0, 1.0, 2.0]))

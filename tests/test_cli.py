@@ -1,7 +1,6 @@
 """CLI and reporting: exit codes, config handling, deterministic JSON."""
 
 import json
-import os
 
 import pytest
 

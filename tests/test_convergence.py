@@ -51,7 +51,6 @@ from cstarseq.sequences import (
     make_block_harmonic,
     make_constant,
     make_harmonic,
-    scenario_by_name,
 )
 
 FIN = IdealDescriptor.fin()

@@ -1,6 +1,6 @@
-"""Source hygiene of the package, checked on its syntax trees.
+"""Source hygiene of the package and its tests, checked on syntax trees.
 
-* Every name a module imports at top level is used in that module; the
+* Every name a module or test file imports at top level is used in it; the
   package ``__init__`` re-exports and ``from __future__`` imports are
   exempt.
 * Only ``sequences`` asks which tail model a scenario carries: outside it,
@@ -17,6 +17,7 @@ import cstarseq
 
 PACKAGE = Path(cstarseq.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 TAIL_MODELS = {"ConvergentTail", "BlockTail", "RecurringTail"}
 
 
@@ -58,8 +59,9 @@ def _names_in(node: ast.AST) -> set:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"] + TEST_FILES,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_top_level_imports(path):
     tree = _tree(path)
     unused = {name: line for name, line in _imported_names(tree).items()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarseq.algebra import const_function, function_element, op_norm
+from cstarseq.algebra import const_function, function_element
 from cstarseq.errors import (
     DomainError,
     InternalConsistencyError,
@@ -16,11 +16,9 @@ from cstarseq.metrics import (
     CstarMetric,
     GapKind,
     GapProfile,
-    MIXED,
     NONE,
     STATUSES,
     distance_norm,
-    default_function_f,
     make_diag_metric,
     make_discrete_metric,
     make_reciprocal_function_metric,

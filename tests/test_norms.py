@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cstarseq.algebra import op_norm
 from cstarseq.errors import DomainError, PreconditionError
 from cstarseq.ideals import Decision
 from cstarseq.metrics import make_discrete_metric, verify_axioms

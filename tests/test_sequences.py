@@ -6,7 +6,6 @@ import pytest
 from cstarseq.errors import DomainError
 from cstarseq.ideals import block_index
 from cstarseq.sequences import (
-    BlockTail,
     ConvergentTail,
     RecurringTail,
     make_alternating,
