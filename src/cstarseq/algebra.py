@@ -97,17 +97,9 @@ class AlgebraElement:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.shape != self.descriptor.shape:
-            raise StructuralError(
-                f"entries shape {arr.shape} does not match descriptor "
-                f"shape {self.descriptor.shape}"
-            )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise StructuralError("entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        # The caller may still hold a writable alias of its array: copy it.
+        object.__setattr__(self, "entries", _checked(
+            self.descriptor, np.array(self.entries, dtype=complex)))
 
     def _check_same(self, other: "AlgebraElement"):
         if self.descriptor != other.descriptor:
@@ -115,22 +107,48 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return AlgebraElement(self.descriptor, self.entries + other.entries)
+        return _fresh(self.descriptor, self.entries + other.entries)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return AlgebraElement(self.descriptor, self.entries - other.entries)
+        return _fresh(self.descriptor, self.entries - other.entries)
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
 
     def __mul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.descriptor, self.entries * complex(scalar))
+        return _fresh(self.descriptor, self.entries * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.descriptor, -self.entries)
+        return _fresh(self.descriptor, -self.entries)
+
+
+def _checked(descriptor: AlgebraDescriptor, arr: np.ndarray) -> np.ndarray:
+    """``arr``, a complex array nothing else writes to, checked against
+    ``descriptor`` and frozen in place.  Finiteness is checked even for
+    results of element arithmetic: sums and products of finite entries can
+    overflow."""
+    if arr.shape != descriptor.shape:
+        raise StructuralError(
+            f"entries shape {arr.shape} does not match descriptor "
+            f"shape {descriptor.shape}"
+        )
+    # One pass: a complex entry is finite iff both its parts are.
+    if not np.isfinite(arr).all():
+        raise StructuralError("entries must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
+def _fresh(descriptor: AlgebraDescriptor, arr: np.ndarray) -> AlgebraElement:
+    """An element over ``arr``, a complex array just built by element
+    arithmetic that no caller holds: checked and frozen, not copied."""
+    a = object.__new__(AlgebraElement)
+    object.__setattr__(a, "descriptor", descriptor)
+    object.__setattr__(a, "entries", _checked(descriptor, arr))
+    return a
 
 
 def matrix_element(entries, scalars: str = "real") -> AlgebraElement:
@@ -157,15 +175,15 @@ def const_function(value, grid_size: int = 64) -> AlgebraElement:
 def involution(a: AlgebraElement) -> AlgebraElement:
     """a -> a*: conjugate transpose for matrices, conjugation for functions."""
     if a.descriptor.kind == MATRIX:
-        return AlgebraElement(a.descriptor, a.entries.conj().T)
-    return AlgebraElement(a.descriptor, a.entries.conj())
+        return _fresh(a.descriptor, a.entries.conj().T)
+    return _fresh(a.descriptor, a.entries.conj())
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     a._check_same(b)
     if a.descriptor.kind == MATRIX:
-        return AlgebraElement(a.descriptor, a.entries @ b.entries)
-    return AlgebraElement(a.descriptor, a.entries * b.entries)
+        return _fresh(a.descriptor, a.entries @ b.entries)
+    return _fresh(a.descriptor, a.entries * b.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -172,14 +172,6 @@ def i_convergence_verdict(
 # I-Cauchy: definition form
 
 
-def _center_schedule(
-    s: SequenceScenario, m: CstarMetric, eps: float, n_max: int
-) -> list[int]:
-    """The candidate centers of a convergent tail, in the order the
-    definition form tries them (``ConvergentTail.schedule``)."""
-    return s.tail_model.schedule(s, m.gap_profile, eps, n_max)
-
-
 def _class_verdict(ideal: IdealDescriptor, cls: CenterClass) -> Verdict:
     """The decision every offence tail of the class gives, else Unknown."""
     verdicts = [tail_membership(ideal, tail) for tail in cls.tails]

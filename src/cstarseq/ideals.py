@@ -288,17 +288,6 @@ def _mask_runs(mask: np.ndarray) -> list[list[int]]:
     return np.column_stack((edges[0::2] + 1, edges[1::2])).tolist()
 
 
-def run_length_encode(members: Iterable[int]) -> list[list[int]]:
-    """Sorted members as inclusive [start, end] intervals."""
-    runs = []
-    for n in sorted(members):
-        if runs and n == runs[-1][1] + 1:
-            runs[-1][1] = n
-        else:
-            runs.append([n, n])
-    return runs
-
-
 def _union_tail(a: TailCertificate, b: TailCertificate) -> TailCertificate:
     ka, kb = a.kind, b.kind
     if TailKind.COFINITE in (ka, kb):

@@ -338,21 +338,36 @@ class BlockTail:
         farther blocks.  Their values lie in a small interval around the
         limit; per-block offence can stay ambiguous for finitely many blocks
         without changing the decision, so the far class carries both
-        resolutions of the ambiguity."""
+        resolutions of the ambiguity.
+
+        The probed block values are evaluated once.  Every center block's
+        far status comes from one vector status rule over the far-block
+        interval, and its bounded/cobounded block list from one offence
+        matrix ``||d(value(i), value(j))|| >= eps`` over the probed blocks.
+        The same rule gives every center's status at each deeper depth
+        ``offence_tail`` may double to, so the centers still MIXED at the
+        probe depth are deepened together.  Each class's tail equals
+        ``offence_tail`` of its block value, which stays the scalar path."""
         jprobe = probe_depth(n_max)
+        vals = self.value(np.arange(1, jprobe + 1))
+        # The depths offence_tail's doubling visits, the probe depth first.
+        depths = [jprobe]
+        while depths[-1] < 1 << 20:
+            depths.append(2 * depths[-1])
+        lo, hi = np.array([self.value_interval(jp) for jp in depths]).T
+        glo, ghi = gap_intervals(vals[:, None], lo, hi)  # blocks x depths
         classes = [
-            CenterClass(j, 1 << (j - 1),
-                        (self.offence_tail(s, gp, self.value(j), eps, n_max),),
+            CenterClass(j, 1 << (j - 1), (tail,),
                         TailCertificate(TailKind.BLOCK_BOUNDED, frozenset((j,))))
-            for j in range(1, jprobe + 1)
+            for j, tail in enumerate(
+                self._center_tails(gp, vals, eps, depths, glo, ghi), 1)
         ]
-        lo, hi = self.value_interval(jprobe)
-        glo, ghi = gap_intervals(self.value(np.arange(1, jprobe + 1)), lo, hi)
-        codes = gp.interval_status_codes(glo, ghi, eps,
+        codes = gp.interval_status_codes(glo[:, 0], ghi[:, 0], eps,
                                          np.zeros(jprobe, dtype=bool))
         quiet, loud, mixed = ((np.flatnonzero(codes == k) + 1).tolist()
                               for k in range(3))
-        far_status = _status_over(gp, lo, hi, eps, True)
+        far_status = _status_over(gp, *self.value_interval(jprobe), eps,
+                                  True)
         if far_status == MIXED:
             tails = ()
         elif far_status == NONE:
@@ -370,6 +385,47 @@ class BlockTail:
             "block case split: every center block fails",
             "block case split inconclusive",
         )
+
+    def _center_tails(self, gp, vals, eps, depths, glo, ghi) -> list:
+        """``offence_tail`` of each center in ``vals``, the values of blocks
+        1..len(vals), whose gaps to the blocks beyond ``depths[d]`` lie in
+        [glo[:, d], ghi[:, d]].  Each center's status is taken at every
+        depth at once; its first decided depth is where ``offence_tail``
+        stops doubling, and the probed blocks up to it give its list."""
+        # A zero gap needs the center inside the far interval (glo == 0):
+        # only there is it compared with the blocks just beyond the depth.
+        inside = np.nonzero(glo <= 0.0)
+        ahead = np.add.outer(np.take(depths, inside[1]),
+                             np.arange(1, PROBE_BLOCKS + 1))
+        zero = np.zeros(glo.shape, dtype=bool)
+        zero[inside] = (vals[inside[0]][:, None]
+                        == self.value(ahead.ravel()).reshape(ahead.shape)
+                        ).any(1)
+        codes = gp.interval_status_codes(glo, ghi, eps, zero)
+        decided = codes != STATUSES.index(MIXED)
+        first = np.where(decided.any(1), decided.argmax(1), -1)
+        tails = [TailCertificate.unknown()] * len(vals)
+        for d in sorted(set(first[first >= 0].tolist())):
+            probed = vals if d == 0 else self.value(np.arange(1, depths[d] + 1))
+            group = np.flatnonzero(first == d)
+            # Deep groups go in chunks of rows, so that an offence matrix
+            # holds about 2^20 entries at most, as one deep scalar probe does.
+            step = max(1, (1 << 20) // len(probed))
+            for rows in np.split(group, range(step, len(group), step)):
+                offends = gp.norm_of_gaps(
+                    np.abs(vals[rows][:, None] - probed)) >= eps
+                # NONE lists the offending blocks, ALL the others.
+                bounded = codes[rows, d] == STATUSES.index(NONE)
+                hit_rows, cols = np.nonzero(offends == bounded[:, None])
+                listed = (cols + 1).tolist()
+                cuts = np.searchsorted(hit_rows,
+                                       np.arange(len(rows) + 1)).tolist()
+                for i, b, start, stop in zip(rows.tolist(), bounded.tolist(),
+                                             cuts, cuts[1:]):
+                    js = frozenset(listed[start:stop])
+                    tails[i] = (TailCertificate.block_bounded(js) if b
+                                else TailCertificate.block_cobounded(js))
+        return tails
 
     def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
         if ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR:

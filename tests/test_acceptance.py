@@ -31,7 +31,6 @@ from cstarseq.convergence import (
     i_star_cauchy_verdict,
     implication_audit,
     istar_witness_from_ap,
-    _center_schedule,
 )
 from cstarseq.errors import UnsupportedOperationError
 from cstarseq.ideals import (
@@ -118,7 +117,7 @@ def test_criterion_2_example_reciprocal_reproduction():
         for eps in (0.1, 0.5, 1.0):
             b = i_cauchy_def_verdict(s, m, FIN, eps, n)
             assert b.decision is Decision.NOT_IN
-            for n0 in _center_schedule(s, m, eps, n):
+            for n0 in s.tail_model.schedule(s, m.gap_profile, eps, n):
                 a = a_epsilon_set(s, m, Index(n0), eps, n)
                 assert a.tail.kind is TailKind.COFINITE
         assert time.monotonic() - t0 < 1.0

@@ -128,14 +128,63 @@ class TestDescriptors:
             AlgebraElement(matrix_algebra(2), np.zeros((3, 3)))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(StructuralError):
-            function_element([1.0, float("nan")])
+        # NaN and inf, in the real part and in the imaginary part.
+        for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0),
+                    complex(0.0, math.nan), complex(0.0, -math.inf)):
+            with pytest.raises(StructuralError):
+                function_element([1.0, bad])
+            with pytest.raises(StructuralError):
+                matrix_element([[1.0, 0.0], [bad, 1.0]], "complex")
 
     def test_cross_algebra_ops_rejected(self):
         a = matrix_element(np.eye(2))
         b = matrix_element(np.eye(3))
         with pytest.raises(StructuralError):
             a + b
+
+
+class TestValidation:
+    """Every element is checked for finiteness, including the results of
+    element arithmetic, and owns read-only complex entries."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: matrix_element([[10.0, 1.0], [0.0, 10.0]]) * 1e308,
+        lambda: (lambda a: a + a)(matrix_element([[1e308, 0.0], [0.0, 1.0]])),
+        lambda: (lambda a: a - (-a))(function_element([1e308, 1.0])),
+        lambda: (lambda a: a @ a)(matrix_element([[1e200, 1.0], [1.0, 1.0]])),
+        lambda: (lambda a: a @ a)(function_element([1e200, 1.0])),
+    ], ids=["scalar-mul", "add", "sub", "matmul", "function-mul"])
+    def test_overflow_rejected(self, make):
+        with np.errstate(all="ignore"):
+            with pytest.raises(StructuralError):
+                make()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_caller_array_mutation_does_not_reach_element(self, dtype):
+        raw = np.eye(2, dtype=dtype)
+        a = AlgebraElement(matrix_algebra(2), raw)
+        b = matrix_element(raw)
+        f_raw = np.ones(3, dtype=dtype)
+        f = function_element(f_raw)
+        raw[0, 0] = 7.0
+        f_raw[1] = 7.0
+        assert np.array_equal(a.entries, np.eye(2))
+        assert np.array_equal(b.entries, np.eye(2))
+        assert np.array_equal(f.entries, np.ones(3))
+
+    def test_entries_read_only_and_complex(self):
+        a = matrix_element([[1, 2], [3, 4]])
+        f = function_element([1, 2, 3])
+        made = [
+            a, f, a + a, a - a, a * 2, 2 * a, -a, a @ a, involution(a),
+            multiply(a, a), f + f, f @ f, involution(f), f * 0.5,
+            AlgebraElement(a.descriptor, a.entries),
+        ]
+        for e in made:
+            assert e.entries.dtype == np.complex128
+            assert not e.entries.flags.writeable
+            with pytest.raises(ValueError):
+                e.entries[(0,) * e.entries.ndim] = 0.0
 
 
 class TestInvolution:

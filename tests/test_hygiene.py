@@ -6,6 +6,9 @@
 * Only ``sequences`` asks which tail model a scenario carries: outside it,
   no ``isinstance`` check names a tail-model class.  The engines go through
   the tail-model protocol instead.
+* Every private top-level function or class of the package is used
+  somewhere in the package outside its own body: tests alone do not keep a
+  helper alive.
 """
 
 import ast
@@ -79,3 +82,20 @@ def test_no_tail_model_isinstance_outside_sequences(path):
         and _names_in(node.args[1]) & TAIL_MODELS
     ]
     assert offending == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_top_level_definitions_have_callers_in_the_package(path):
+    elsewhere = set().union(*(_names_in(_tree(p)) for p in MODULES
+                              if p != path))
+    body = _tree(path).body
+    uncalled = []
+    for node in body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            used = elsewhere.union(*(_names_in(other) for other in body
+                                     if other is not node))
+            if node.name not in used:
+                uncalled.append(node.name)
+    assert uncalled == []

@@ -26,8 +26,19 @@ from cstarseq.ideals import (
     ideal_by_name,
     max_block_index,
     membership,
-    run_length_encode,
 )
+
+
+def run_length_encode(members) -> list[list[int]]:
+    """Reference for the window runs of ``SetDescription.to_json``: sorted
+    members as inclusive [start, end] intervals."""
+    runs = []
+    for n in sorted(members):
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return runs
 
 
 def oracle_block_index(n: int) -> int:

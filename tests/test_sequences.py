@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarseq.errors import DomainError
-from cstarseq.ideals import block_index
+from cstarseq.ideals import TailCertificate, TailKind, block_index
+from cstarseq.metrics import METRICS, metric_by_name
 from cstarseq.sequences import (
+    BlockTail,
+    CenterClass,
     ConvergentTail,
     RecurringTail,
+    SequenceScenario,
     make_alternating,
     make_block_harmonic,
     make_constant,
     make_harmonic,
+    probe_depth,
     scenario_by_name,
 )
 
@@ -100,6 +107,104 @@ class TestTailModels:
         s = make_alternating()
         assert s.tail_hits(1.0, 50)
         assert not s.tail_hits(0.5, 50)
+
+
+def _even_zero_value(j):
+    """1/j on odd blocks, the limit 0 on even ones; an int or an array."""
+    j = np.asarray(j)
+    return np.where(j % 2 == 0, 0.0, 1.0 / j)
+
+
+def make_even_zero_blocks() -> SequenceScenario:
+    """Block-harmonic with every even block at the limit: a center in an
+    even block meets its own value again beyond every probe depth, so the
+    zero-separation flag decides its offence status."""
+    return SequenceScenario(
+        name="even-zero-blocks",
+        generator=lambda n: _even_zero_value(block_index(n)),
+        tail_model=BlockTail(value=_even_zero_value, limit=0.0,
+                             envelope=lambda j: 1.0 / j),
+        point_bounds=(0.0, 1.0),
+        injective=False,
+        nominal_limit=0.0,
+    )
+
+
+BLOCK_SCENARIOS = {"block-harmonic": make_block_harmonic,
+                   "even-zero-blocks": make_even_zero_blocks}
+
+
+@st.composite
+def boundary_eps(draw, scale: float) -> float:
+    """eps weighted toward the values where a block's offence status
+    flips: 1/k, the gaps 1/(k(k+1)) and 2/(k(k+1)) between neighbouring
+    block values, times or over the metric's scale, and one ulp either
+    side of each."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.floats(1e-4, 4.0))
+    k = draw(st.integers(1, 80))
+    base = draw(st.sampled_from([1.0 / k, 1.0 / (k * (k + 1)),
+                                 2.0 / (k * (k + 1))]))
+    eps = draw(st.sampled_from([base, base * scale, scale / base]))
+    return float(np.nextafter(eps, draw(st.sampled_from([eps, 0.0,
+                                                         np.inf]))))
+
+
+def scalar_window_classes(s, gp, eps, n_max) -> list:
+    """The window classes of the block case split through the scalar path:
+    per block, one ``offence_tail`` call about the block's value."""
+    model = s.tail_model
+    return [
+        CenterClass(
+            j, 1 << (j - 1),
+            (model.offence_tail(s, gp, float(model.value(j)), eps, n_max),),
+            TailCertificate(TailKind.BLOCK_BOUNDED, frozenset((j,))))
+        for j in range(1, probe_depth(n_max) + 1)
+    ]
+
+
+class TestBlockCaseSplit:
+    """``BlockTail.center_classes`` against the scalar path."""
+
+    @pytest.mark.parametrize("scenario", sorted(BLOCK_SCENARIOS))
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_window_classes_match_scalar_offence_tails(self, scenario,
+                                                       metric, data):
+        s = BLOCK_SCENARIOS[scenario]()
+        gp = metric_by_name(metric).gap_profile
+        n_max = data.draw(st.sampled_from([16, 4096, 8192]))
+        eps = data.draw(boundary_eps(gp.scale))
+        split = s.tail_model.center_classes(s, gp, eps, n_max)
+        assert len(split.classes) == probe_depth(n_max) + 1
+        assert list(split.classes[:-1]) == scalar_window_classes(
+            s, gp, eps, n_max)
+
+    def test_deep_group_in_chunks_matches_scalar(self):
+        # The 32 even blocks stay MIXED until depth 2^16, where they are
+        # decided together and their offence rows go in two chunks.
+        s = make_even_zero_blocks()
+        gp = metric_by_name("diag").gap_profile
+        split = s.tail_model.center_classes(s, gp, 2e-5, 16)
+        assert list(split.classes[:-1]) == scalar_window_classes(
+            s, gp, 2e-5, 16)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    @pytest.mark.parametrize("metric", ["diag", "scaled", "discrete"])
+    def test_audit_keys_make_no_scalar_probe(self, monkeypatch, metric, eps):
+        calls = []
+        scalar = BlockTail.offence_tail
+
+        def counted(self, *args):
+            calls.append(args)
+            return scalar(self, *args)
+
+        monkeypatch.setattr(BlockTail, "offence_tail", counted)
+        s = make_block_harmonic()
+        s.tail_model.center_classes(s, metric_by_name(metric).gap_profile,
+                                    eps, 8192)
+        assert calls == []
 
 
 class TestRegistry:
