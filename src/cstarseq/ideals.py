@@ -24,11 +24,21 @@ Certificate semantics (all "up to a finite symmetric difference"):
   cobounded; its complement is not derivable).
 * ``INFINITE``   -- the set is infinite, structure unknown.
 * ``UNKNOWN``    -- no tail information.
+
+The block list J of ``BLOCK_BOUNDED(J)`` and ``BLOCK_COBOUNDED(J)`` is a
+``BlockSet``: sorted runs of consecutive blocks, so J = blocks 1..4/eps of
+the pair form costs one run however fine eps is, and every set operation on
+it is linear in the number of runs.  Its JSON is the list of inclusive
+[start, end] runs, as for windows.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
+from bisect import bisect_right
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -92,6 +102,122 @@ def frozen_mask(mask: np.ndarray) -> np.ndarray:
 # Tail certificates and set descriptions
 
 
+class BlockSet(Set):
+    """An immutable set of block indices, held as sorted runs.
+
+    The read-only ``edges`` lists each run's first block and one past its
+    last, run after run.  It increases strictly, so the runs are disjoint
+    and never adjacent, and equal sets have equal edges.  ``len`` counts
+    blocks.  Whatever the number of blocks, membership costs O(log runs),
+    and union, intersection and difference with another block set cost
+    O(runs).  Iteration is ascending.  A block set equals any set with the
+    same members, but it hashes by its runs, so only equal block sets are
+    sure to hash alike.
+    """
+
+    __slots__ = ("_edges",)
+
+    def __new__(cls, blocks: Iterable[int] = ()):
+        # Exact type tests: a failed isinstance test against an ABC such
+        # as this class costs several times more, and certificates are
+        # built thousands of times per audit.
+        if type(blocks) is BlockSet:
+            return blocks
+        if type(blocks) is range and blocks.step == 1:
+            return cls._of((blocks.start, blocks.stop) if blocks else ())
+        edges = []
+        for j in sorted(set(map(int, blocks))):
+            if edges and edges[-1] == j:
+                edges[-1] = j + 1
+            else:
+                edges += (j, j + 1)
+        return cls._of(tuple(edges))
+
+    @classmethod
+    def _of(cls, edges: tuple) -> "BlockSet":
+        self = object.__new__(cls)
+        self._edges = edges
+        return self
+
+    @staticmethod
+    def from_mask(mask: np.ndarray) -> "BlockSet":
+        """The blocks j with ``mask[j - 1]``."""
+        (edges,) = _mask_edges(mask)
+        return BlockSet._of(tuple((edges + 1).tolist()))
+
+    @staticmethod
+    def rows(masks: np.ndarray) -> list:
+        """``from_mask`` of each row of a bool matrix, from one difference
+        over the whole matrix."""
+        row, col = _mask_edges(masks)
+        edges = (col + 1).tolist()
+        cuts = np.searchsorted(row, np.arange(len(masks) + 1)).tolist()
+        return [BlockSet._of(tuple(edges[a:b]))
+                for a, b in zip(cuts, cuts[1:])]
+
+    @property
+    def edges(self) -> tuple:
+        return self._edges
+
+    @property
+    def runs(self) -> list[list[int]]:
+        """The members as inclusive [start, end] runs."""
+        e = self._edges
+        return [[a, b - 1] for a, b in zip(e[0::2], e[1::2])]
+
+    def __contains__(self, j) -> bool:
+        return bisect_right(self._edges, j) % 2 == 1
+
+    def __iter__(self):
+        e = self._edges
+        for a, b in zip(e[0::2], e[1::2]):
+            yield from range(a, b)
+
+    def __len__(self) -> int:
+        return sum(self._edges[1::2]) - sum(self._edges[0::2])
+
+    def __bool__(self) -> bool:
+        return bool(self._edges)
+
+    def __eq__(self, other):
+        if isinstance(other, BlockSet):
+            return self._edges == other._edges
+        return Set.__eq__(self, other)
+
+    def __hash__(self):
+        return hash(self._edges)
+
+    def __repr__(self):
+        return f"BlockSet(runs={self.runs})"
+
+    def __or__(self, other):
+        return self._merge(other, operator.or_)
+
+    def __and__(self, other):
+        return self._merge(other, operator.and_)
+
+    def __sub__(self, other):
+        return self._merge(other, lambda x, y: x and not y)
+
+    def _merge(self, other, keep) -> "BlockSet":
+        """The blocks j with ``keep(j in self, j in other)``, in one sweep
+        over both edge lists: past an edge, an odd count of edges passed in
+        a list means the sweep is inside one of its runs."""
+        a, b = self._edges, BlockSet(other)._edges
+        i = k = 0
+        out = []
+        inside = False
+        while i < len(a) or k < len(b):
+            x = min(a[i] if i < len(a) else math.inf,
+                    b[k] if k < len(b) else math.inf)
+            i += i < len(a) and a[i] == x
+            k += k < len(b) and b[k] == x
+            if keep(i % 2 == 1, k % 2 == 1) != inside:
+                out.append(x)
+                inside = not inside
+        return BlockSet._of(tuple(out))
+
+
 class TailKind(enum.Enum):
     FINITE = "finite"
     COFINITE = "cofinite"
@@ -105,7 +231,7 @@ class TailKind(enum.Enum):
 @dataclass(frozen=True)
 class TailCertificate:
     kind: TailKind
-    blocks: frozenset = frozenset()
+    blocks: BlockSet = BlockSet()
 
     @staticmethod
     def finite() -> "TailCertificate":
@@ -117,15 +243,15 @@ class TailCertificate:
 
     @staticmethod
     def block_bounded(blocks: Iterable[int]) -> "TailCertificate":
-        js = _block_set(blocks)
-        if not js:
+        js = BlockSet(blocks)
+        if not js.edges:
             return TailCertificate(TailKind.FINITE)
         return TailCertificate(TailKind.BLOCK_BOUNDED, js)
 
     @staticmethod
     def block_cobounded(blocks: Iterable[int]) -> "TailCertificate":
-        js = _block_set(blocks)
-        if not js:
+        js = BlockSet(blocks)
+        if not js.edges:
             return TailCertificate(TailKind.COFINITE)
         return TailCertificate(TailKind.BLOCK_COBOUNDED, js)
 
@@ -154,17 +280,7 @@ class TailCertificate:
         return TailCertificate.unknown()
 
     def to_json(self):
-        return {"kind": self.kind.value, "blocks": sorted(self.blocks)}
-
-
-def _block_set(blocks) -> frozenset:
-    """Block indices as a frozenset of Python ints.  A range, a frozenset of
-    ints or an integer array is taken without a per-element Python loop."""
-    if isinstance(blocks, np.ndarray):
-        return frozenset(blocks.tolist())
-    if isinstance(blocks, (range, frozenset)):
-        return frozenset(blocks)
-    return frozenset(int(j) for j in blocks)
+        return {"kind": self.kind.value, "blocks": self.blocks.runs}
 
 
 class SetDescription:
@@ -282,9 +398,19 @@ class SetDescription:
         }
 
 
+def _mask_edges(masks: np.ndarray) -> tuple:
+    """``np.nonzero`` of where each row of a bool array turns on or off:
+    its last index array is, alternately, the 0-based position of a run's
+    first member and one past its last.  Padding by hand costs less than
+    ``np.diff`` with ``prepend`` and ``append``."""
+    pad = np.zeros(masks.shape[:-1] + (masks.shape[-1] + 2,), dtype=bool)
+    pad[..., 1:-1] = masks
+    return np.nonzero(pad[..., 1:] != pad[..., :-1])
+
+
 def _mask_runs(mask: np.ndarray) -> list[list[int]]:
     """Members of a window mask as inclusive [start, end] intervals."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    (edges,) = _mask_edges(mask)
     return np.column_stack((edges[0::2] + 1, edges[1::2])).tolist()
 
 
@@ -337,7 +463,7 @@ def block_elements(j: int, n_max: int) -> SetDescription:
 
 def block_union(js: Iterable[int], n_max: int) -> SetDescription:
     tail = TailCertificate.block_bounded(js)
-    if tail.blocks and min(tail.blocks) < 1:
+    if tail.blocks and tail.blocks.edges[0] < 1:
         raise DomainError("block indices must be >= 1")
     return SetDescription(block_mask(tail.blocks, n_max), n_max, tail)
 

@@ -58,7 +58,9 @@ class GapProfile:
         if g == 0.0:
             return 0.0
         if self.kind is GapKind.RECIPROCAL:
-            return self.scale / g
+            # Python float division gives inf for a subnormal g, where a
+            # numpy scalar would also warn of the overflow.
+            return self.scale / float(g)
         return self.scale
 
     def norm_of_gaps(self, gaps: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .ideals import (
     IN,
     NOT_IN,
     UNKNOWN,
+    BlockSet,
     IdealKind,
     SetDescription,
     TailCertificate,
@@ -233,7 +234,8 @@ class ConvergentTail:
     def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
         """D = the empty set, else D = E_k(eps/3) for a scheduled k: a
         finite D off which the window points, with the whole tail, lie in
-        an interval where every pair stays below eps."""
+        an interval where every pair stays below eps.  When eps/3
+        underflows to 0, E_k(0) is all of N and no k is tried."""
         pts = s.points(n_max)
         if self._off_d_status(s, gp, pts, eps, n_max) == NONE:
             return dict(
@@ -241,12 +243,15 @@ class ConvergentTail:
                 witness_set=SetDescription.empty(n_max),
                 trace="D = empty set",
             )
-        for k in self.schedule(s, gp, eps / 3.0, n_max):
+        third = eps / 3.0
+        if third == 0.0:
+            return None
+        for k in self.schedule(s, gp, third, n_max):
             c = float(s.generator(k))
-            tail = self.offence_tail(s, gp, c, eps / 3.0, n_max)
+            tail = self.offence_tail(s, gp, c, third, n_max)
             if tail.kind is not TailKind.FINITE:
                 continue
-            d_mask = frozen_mask(s.offenders(gp, c, eps / 3.0, n_max))
+            d_mask = frozen_mask(s.offenders(gp, c, third, n_max))
             if self._off_d_status(s, gp, pts[~d_mask], eps, n_max) == NONE:
                 return dict(
                     verdict=Verdict(IN, "off-D pairwise distances certified "
@@ -324,8 +329,8 @@ class BlockTail:
         gaps = np.abs(self.value(np.arange(1, jprobe + 1)) - c)
         offends = gp.norm_of_gaps(gaps) >= eps
         if status == NONE:
-            return TailCertificate.block_bounded(np.flatnonzero(offends) + 1)
-        return TailCertificate.block_cobounded(np.flatnonzero(~offends) + 1)
+            return TailCertificate.block_bounded(BlockSet.from_mask(offends))
+        return TailCertificate.block_cobounded(BlockSet.from_mask(~offends))
 
     def pair_status(self, s, gp, cut, eps, center=None) -> str:
         """Over the values of the blocks beyond block ``cut``; each recurs,
@@ -358,7 +363,8 @@ class BlockTail:
         glo, ghi = gap_intervals(vals[:, None], lo, hi)  # blocks x depths
         classes = [
             CenterClass(j, 1 << (j - 1), (tail,),
-                        TailCertificate(TailKind.BLOCK_BOUNDED, frozenset((j,))))
+                        TailCertificate(TailKind.BLOCK_BOUNDED,
+                                        BlockSet(range(j, j + 1))))
             for j, tail in enumerate(
                 self._center_tails(gp, vals, eps, depths, glo, ghi), 1)
         ]
@@ -416,13 +422,8 @@ class BlockTail:
                     np.abs(vals[rows][:, None] - probed)) >= eps
                 # NONE lists the offending blocks, ALL the others.
                 bounded = codes[rows, d] == STATUSES.index(NONE)
-                hit_rows, cols = np.nonzero(offends == bounded[:, None])
-                listed = (cols + 1).tolist()
-                cuts = np.searchsorted(hit_rows,
-                                       np.arange(len(rows) + 1)).tolist()
-                for i, b, start, stop in zip(rows.tolist(), bounded.tolist(),
-                                             cuts, cuts[1:]):
-                    js = frozenset(listed[start:stop])
+                listed = BlockSet.rows(offends == bounded[:, None])
+                for i, b, js in zip(rows.tolist(), bounded.tolist(), listed):
                     tails[i] = (TailCertificate.block_bounded(js) if b
                                 else TailCertificate.block_cobounded(js))
         return tails
@@ -430,9 +431,11 @@ class BlockTail:
     def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
         if ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR:
             # Cut rule: smallest J with envelope(J) < eps / (2 * scale);
-            # off the first J blocks every pair norm stays below eps.
+            # off the first J blocks every pair norm stays below eps.  D is
+            # one run of blocks, so J may reach 2^53, the last J a float
+            # holds exactly.
             j_cut = _least_below(self.envelope, eps / (2.0 * gp.scale),
-                                 10 ** 9)
+                                 2 ** 53)
             if self.pair_status(s, gp, j_cut, eps) == NONE:
                 return dict(
                     verdict=Verdict(IN, "off-D blocks have pairwise "
@@ -468,8 +471,7 @@ class BlockTail:
             return dict(verdict=Verdict(UNKNOWN,
                                         "witness block structure unknown"))
         jprobe = probe_depth(n_max)
-        active = [j for j in range(1, jprobe + 1)
-                  if j not in witness.tail.blocks]
+        active = list(BlockSet(range(1, jprobe + 1)) - witness.tail.blocks)
         vals = self.value(np.array(active, dtype=np.int64))
         if limit is None:
             pair = _first_offending_pair(gp, vals, eps)

@@ -113,6 +113,17 @@ class TestCliMain:
         assert code == 0
         assert "i_cauchy_definition" in capsys.readouterr().out
 
+    def test_block_pair_cut_beyond_a_billion(self, capsys):
+        # J = 4 000 000 001 blocks, one run in the witness certificate.
+        code = main(["run", "--scenario", "block-harmonic",
+                     "--metric", "scaled", "--ideal", "block",
+                     "--eps", "1e-9", "--window", "4096"])
+        assert code == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        pair = next(c for c in cells if c["question"] == "i_cauchy_pair")
+        assert pair["decision"] == "in"
+        assert pair["cut_index"] == 4_000_000_001
+
     def test_config_error_exit_two(self, capsys):
         assert main(["run", "--metric", "bogus"]) == 2
 

@@ -5,6 +5,8 @@ the distance elements independently (LAPACK operator norms, explicit
 formulas derived in the test file) rather than through the gap profiles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,28 @@ class TestICauchyPair:
         m = make_scaled_function_metric(default_function_f(2.0, 64))
         with pytest.raises(DomainError):
             i_cauchy_pair_verdict(s, m, BLK, 0.1, 256)
+
+    def test_pair_certificate_is_one_run(self):
+        # D = blocks 1..4 000 001 costs one run, not four million ints.
+        m = make_scaled_function_metric(default_function_f(2.0, 64))
+        tracemalloc.start()
+        try:
+            b = i_cauchy_pair_verdict(BLOCK_SEQ, m, BLK, 1e-6, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = b.witness_set.tail.blocks
+        assert len(blocks) == 4_000_001
+        assert blocks.runs == [[1, 4_000_001]]
+        assert peak < 1 << 20
+
+    def test_eps_third_underflow_decided(self):
+        # eps / 3 is 0.0 for the least subnormal eps: no E_k(eps/3) is
+        # tried, and the reciprocal distance floor decides.
+        m = make_reciprocal_function_metric(default_function_f(2.0, 64))
+        for ideal in (FIN, D0, BLK):
+            b = i_cauchy_pair_verdict(HARMONIC, m, ideal, 5e-324, 16)
+            assert b.decision is Decision.NOT_IN
 
     def test_pair_witness_really_works(self):
         # Off D = blocks 1..21, every index has block >= 22 and the value

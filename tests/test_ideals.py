@@ -1,9 +1,13 @@
 """Ideal layer: block partition, certificates, set algebra, membership."""
 
+import operator
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cstarseq.errors import (
     DomainError,
@@ -11,6 +15,7 @@ from cstarseq.errors import (
     UnsupportedOperationError,
 )
 from cstarseq.ideals import (
+    BlockSet,
     Decision,
     IdealDescriptor,
     SetDescription,
@@ -71,6 +76,67 @@ class TestBlockPartition:
             block_index(0)
         with pytest.raises(DomainError):
             block_members(0, 10)
+
+
+# Small block numbers, so that drawn sets have adjacent and touching runs.
+block_numbers = st.sets(st.integers(1, 40), max_size=30)
+
+
+class TestBlockSet:
+    """Run-length block sets against a frozenset reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_numbers, block_numbers, st.integers(0, 42))
+    def test_matches_frozenset_reference(self, ra, rb, j):
+        a, b = BlockSet(ra), BlockSet(rb)
+        assert list(a) == sorted(ra)
+        assert len(a) == len(ra)
+        assert bool(a) == bool(ra)
+        assert (j in a) == (j in ra)
+        assert a == frozenset(ra) and frozenset(ra) == a
+        assert a.runs == run_length_encode(ra)
+        assert (a == b) == (ra == rb)
+        for op in (operator.or_, operator.and_, operator.sub):
+            got, want = op(a, b), op(frozenset(ra), frozenset(rb))
+            assert set(got) == want
+            # Canonical runs: touching runs merged, so equal sets have
+            # equal runs and hash alike.
+            assert got.runs == run_length_encode(want)
+            assert got == BlockSet(want)
+            assert hash(got) == hash(BlockSet(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 6), st.integers(0, 40))))
+    def test_mask_and_row_construction(self, masks):
+        want = [run_length_encode((np.flatnonzero(row) + 1).tolist())
+                for row in masks]
+        rows = BlockSet.rows(masks)
+        assert [js.runs for js in rows] == want
+        assert [len(js) for js in rows] == masks.sum(1).tolist()
+        assert BlockSet.from_mask(masks[0]).runs == want[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_numbers, st.sampled_from([TailCertificate.block_bounded,
+                                           TailCertificate.block_cobounded]))
+    def test_certificate_json_and_complement(self, blocks, make):
+        cert = make(blocks)
+        assert cert.to_json()["blocks"] == run_length_encode(blocks)
+        assert cert.complement().blocks == frozenset(blocks)
+        assert cert.complement().complement() == cert
+
+    def test_long_runs_cost_their_ends_only(self):
+        big = BlockSet(range(1, 10 ** 12))
+        assert len(big) == 10 ** 12 - 1
+        assert 10 ** 12 - 1 in big and 10 ** 12 not in big
+        assert (big | BlockSet([10 ** 12])).runs == [[1, 10 ** 12]]
+        assert (big - BlockSet([5])).runs == [[1, 4], [6, 10 ** 12 - 1]]
+        assert (big & BlockSet(range(7, 9))).runs == [[7, 8]]
+
+    def test_immutable_and_picklable(self):
+        js = BlockSet([1, 2, 5])
+        with pytest.raises(AttributeError):
+            js.edges = ()
+        assert pickle.loads(pickle.dumps(js)) == js
 
 
 class TestCertificates:

@@ -1,5 +1,7 @@
 """Metric layer: gap profiles, built-in metrics, axiom verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,12 @@ class TestGapProfile:
         assert gp.norm_of_gap(4.0) == pytest.approx(0.5)
         assert np.allclose(gp.norm_of_gaps(np.array([0.0, 1.0, 4.0])),
                            [0.0, 2.0, 0.5])
+
+    def test_reciprocal_subnormal_gap_is_inf_without_warning(self):
+        gp = GapProfile(GapKind.RECIPROCAL, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gp.norm_of_gap(np.float64(5e-324)) == np.inf
 
     def test_discrete(self):
         gp = GapProfile(GapKind.DISCRETE, 1.0)
