@@ -10,6 +10,10 @@ positivity predicate and the induced partial order ``a precedes b`` iff
 Matrix norms and spectra go through LAPACK: the operator norm is the
 largest singular value, and self-adjoint spectra come from the Hermitian
 eigensolver applied to the Hermitian part.
+
+Norms, self-adjointness and positivity are each one rule over a stack of
+entries (axis 0 = element), so a batch of k elements costs one LAPACK call
+per step; the element predicates run the same rule on a stack of one.
 """
 
 from __future__ import annotations
@@ -174,9 +178,15 @@ def const_function(value, grid_size: int = 64) -> AlgebraElement:
 
 def involution(a: AlgebraElement) -> AlgebraElement:
     """a -> a*: conjugate transpose for matrices, conjugation for functions."""
-    if a.descriptor.kind == MATRIX:
-        return _fresh(a.descriptor, a.entries.conj().T)
-    return _fresh(a.descriptor, a.entries.conj())
+    return _fresh(a.descriptor, _adjoints(a.descriptor, a.entries))
+
+
+def _adjoints(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
+    """The entries of a* for each element a of ``stack`` (or for one
+    element's entries)."""
+    if descriptor.kind == MATRIX:
+        return stack.conj().swapaxes(-1, -2)
+    return stack.conj()
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -190,11 +200,28 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 # Operator norm, spectrum, positivity, order
 
 
+def stack_entries(
+    descriptor: AlgebraDescriptor, elements: Iterable[AlgebraElement]
+) -> np.ndarray:
+    """The entries of ``elements``, all of ``descriptor``, as one stack
+    (axis 0 = element)."""
+    elements = list(elements)
+    if any(e.descriptor != descriptor for e in elements):
+        raise StructuralError("elements belong to different algebras")
+    return np.stack([e.entries for e in elements])
+
+
 def op_norm(a: AlgebraElement) -> float:
     """Operator norm: largest singular value (matrices), sup over samples."""
-    if a.descriptor.kind == FUNCTION:
-        return float(np.max(np.abs(a.entries))) if a.entries.size else 0.0
-    return float(np.linalg.svd(a.entries, compute_uv=False)[0])
+    return float(op_norms(a.descriptor, a.entries[None])[0])
+
+
+def op_norms(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
+    """``op_norm`` of each element of ``stack``, a stack of entries of
+    ``descriptor`` (axis 0 = element)."""
+    if descriptor.kind == FUNCTION:
+        return np.abs(stack).max(axis=1)
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -214,19 +241,48 @@ def _sorted_spec(values: Iterable[complex], tol: ToleranceProfile) -> Spectrum:
     return Spectrum(values=tuple(vals), is_real=flags)
 
 
-def _self_adjoint_and_norm(a: AlgebraElement, tol: ToleranceProfile) -> tuple:
-    """(whether ||a - a*|| <= tol * (1 + ||a||), ||a||)."""
-    norm_a = op_norm(a)
-    dev = op_norm(a - involution(a))
-    return dev <= tol.self_adjoint_tol * (1.0 + norm_a), norm_a
+def _hermitian_part(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
+    return (stack + _adjoints(descriptor, stack)) / 2.0
 
 
-def _hermitian_part(a: AlgebraElement) -> np.ndarray:
-    return (a.entries + a.entries.conj().T) / 2.0
+def self_adjoint_rule(
+    descriptor: AlgebraDescriptor, stack: np.ndarray,
+    tol: ToleranceProfile = DEFAULT_TOL,
+) -> tuple:
+    """Per element a of ``stack`` (entries of ``descriptor``, axis 0 =
+    element): whether ||a - a*|| <= tol * (1 + ||a||), and ||a||, as two
+    arrays.  Raises StructuralError when an a - a* overflows."""
+    if stack.shape[1:] != descriptor.shape:
+        raise StructuralError(
+            f"stack shape {stack.shape} does not hold elements of shape "
+            f"{descriptor.shape}"
+        )
+    deviations = stack - _adjoints(descriptor, stack)
+    if not np.isfinite(deviations).all():
+        raise StructuralError("entries must be finite")
+    norms = op_norms(descriptor, stack)
+    return (op_norms(descriptor, deviations)
+            <= tol.self_adjoint_tol * (1.0 + norms)), norms
+
+
+def positivity_rule(
+    descriptor: AlgebraDescriptor, stack: np.ndarray,
+    tol: ToleranceProfile = DEFAULT_TOL,
+) -> tuple:
+    """Per element a of ``stack``: whether a is positive (self-adjoint,
+    with its spectrum in [0, inf)), and ||a||, as two arrays.  Matrices go
+    through one batched Hermitian eigensolve of their Hermitian parts; the
+    spectrum of a function element is its samples."""
+    self_adjoint, norms = self_adjoint_rule(descriptor, stack, tol)
+    if descriptor.kind == FUNCTION:
+        lowest = stack.real.min(axis=1)
+    else:
+        lowest = np.linalg.eigvalsh(_hermitian_part(descriptor, stack))[:, 0]
+    return self_adjoint & (lowest >= -tol.positivity_tol * (1.0 + norms)), norms
 
 
 def is_self_adjoint(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    return _self_adjoint_and_norm(a, tol)[0]
+    return bool(self_adjoint_rule(a.descriptor, a.entries[None], tol)[0][0])
 
 
 def spectrum(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum:
@@ -240,21 +296,15 @@ def spectrum(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum
     if a.descriptor.kind == FUNCTION:
         return _sorted_spec(a.entries, tol)
     if is_self_adjoint(a, tol):
-        return _sorted_spec(np.linalg.eigvalsh(_hermitian_part(a)), tol)
+        return _sorted_spec(
+            np.linalg.eigvalsh(_hermitian_part(a.descriptor, a.entries)), tol)
     # Non-self-adjoint spectra are only needed incidentally.
     return _sorted_spec(np.linalg.eigvals(a.entries), tol)
 
 
 def is_positive(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff ``a`` is self-adjoint and its spectrum sits in [0, inf)."""
-    self_adjoint, norm_a = _self_adjoint_and_norm(a, tol)
-    if not self_adjoint:
-        return False
-    if a.descriptor.kind == FUNCTION:
-        min_val = float(np.min(a.entries.real)) if a.entries.size else 0.0
-    else:
-        min_val = float(np.linalg.eigvalsh(_hermitian_part(a))[0])
-    return min_val >= -tol.positivity_tol * (1.0 + norm_a)
+    return bool(positivity_rule(a.descriptor, a.entries[None], tol)[0][0])
 
 
 def precedes(

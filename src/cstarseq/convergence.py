@@ -199,7 +199,7 @@ def i_cauchy_def_verdict(
     _require_eps(eps)
     unknown = "schedule exhausted without certificate"
     if m.gap_profile is not None and s.tail_model is not None:
-        split = s.tail_model.center_classes(s, m.gap_profile, eps, n_max)
+        split = s.center_classes(m.gap_profile, eps, n_max)
         verdicts = [_class_verdict(ideal, cls) for cls in split.classes]
         for cls, v in zip(split.classes, verdicts):
             if v.decision is IN and cls.index is not None:
@@ -275,7 +275,7 @@ def i_cauchy_ek_verdict(
             Question.ICAUCHY_EK, eps,
             Verdict(UNKNOWN, "no gap profile / tail model"),
         )
-    split = s.tail_model.center_classes(s, m.gap_profile, eps, n_max)
+    split = s.center_classes(m.gap_profile, eps, n_max)
     decisions = [_class_verdict(ideal, cls).decision for cls in split.classes]
     failing = [c for c, d in zip(split.classes, decisions) if d is NOT_IN]
     undecided = [c for c, d in zip(split.classes, decisions) if d is UNKNOWN]

@@ -10,7 +10,7 @@ the discrete metric as one that no norm can induce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,10 +20,11 @@ from .algebra import (
     AlgebraElement,
     DEFAULT_TOL,
     ToleranceProfile,
-    is_positive,
     matrix_algebra,
     op_norm,
-    precedes,
+    op_norms,
+    positivity_rule,
+    stack_entries,
 )
 from .errors import DomainError, PreconditionError
 from .ideals import Decision, IN, NOT_IN
@@ -137,11 +138,14 @@ def verify_norm_axioms(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> NormAxiomReport:
     """Check definiteness, absolute homogeneity and subadditivity over the
-    sample points; failures are reported with witnesses, not raised."""
+    sample points; failures are reported with witnesses, not raised.  The
+    positivity of every ||x||_A, and subadditivity
+    ||x + y||_A <= ||x||_A + ||y||_A over every pair x < y, are each one
+    stacked ``positivity_rule`` call."""
     pts = sorted(set(float(s) for s in samples))
     if len(pts) < 2:
         raise PreconditionError("need at least 2 distinct sample points")
-    ok_def = ok_hom = ok_tri = True
+    ok_def = ok_hom = True
     worst = 0.0
     witnesses: list[tuple] = []
 
@@ -150,12 +154,14 @@ def verify_norm_axioms(
         ok_def = False
         worst = max(worst, n0)
         witnesses.append((0.0,))
-    for x in pts:
-        nx = nrm.eval(x)
-        if not is_positive(nx, tol):
+    values = [nrm.eval(x) for x in pts]
+    stack = stack_entries(nrm.algebra, values)
+    positive, norms = positivity_rule(nrm.algebra, stack, tol)
+    for x, nx, pos, norm in zip(pts, values, positive.tolist(), norms.tolist()):
+        if not pos:
             ok_def = False
             witnesses.append((x,))
-        if x != 0.0 and op_norm(nx) <= tol.norm_tol:
+        if x != 0.0 and norm <= tol.norm_tol:
             ok_def = False
             witnesses.append((x,))
         for lam in scalars:
@@ -166,17 +172,20 @@ def verify_norm_axioms(
                 ok_hom = False
                 worst = max(worst, dev)
                 witnesses.append((lam, x))
-    for x, y in combinations(pts, 2):
-        lhs = nrm.eval(x + y)
-        rhs = nrm.eval(x) + nrm.eval(y)
-        if not precedes(lhs, rhs, tol):
-            ok_tri = False
-            worst = max(worst, op_norm(lhs) - op_norm(rhs))
-            witnesses.append((x, y))
+    i, j = np.triu_indices(len(pts), 1)
+    lhs = stack_entries(nrm.algebra, (nrm.eval(pts[a] + pts[b])
+                                      for a, b in zip(i.tolist(), j.tolist())))
+    rhs = stack[i] + stack[j]
+    holds, _ = positivity_rule(nrm.algebra, rhs - lhs, tol)
+    broken = np.flatnonzero(~holds)
+    slack = op_norms(nrm.algebra, lhs[broken]) - op_norms(nrm.algebra,
+                                                         rhs[broken])
+    worst = max([worst, *slack.tolist()])
+    witnesses += [(pts[i[t]], pts[j[t]]) for t in broken.tolist()]
     return NormAxiomReport(
         definiteness_pass=ok_def,
         homogeneity_pass=ok_hom,
-        triangle_pass=ok_tri,
+        triangle_pass=not broken.size,
         worst_violation=worst,
         witnesses=tuple(witnesses[:10]),
     )
@@ -308,14 +317,12 @@ def norm_convergence_verdict(
     slope = op_norm(nrm.eval(1.0))
     norms = slope * np.abs(s.points(n_max) - limit)
     if model is None or model.interval is None:
-        if model is not None and hasattr(model, "values"):
-            vals = [v for v in model.values
-                    if slope * abs(v - limit) >= eps]
-            if vals:
-                return NormConvergenceBundle(
-                    eps, NOT_IN,
-                    f"value {vals[0]} recurs with norm >= eps",
-                )
+        vals = [v for v in (model.values if model is not None else ())
+                if slope * abs(v - limit) >= eps]
+        if vals:
+            return NormConvergenceBundle(
+                eps, NOT_IN, f"value {vals[0]} recurs with norm >= eps",
+            )
         if not np.any(norms >= eps):
             return NormConvergenceBundle(
                 eps, Decision.UNKNOWN, "window clean but tail uncertified"

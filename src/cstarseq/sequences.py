@@ -15,7 +15,10 @@ questions, which every model answers: ``tail_hits`` (can x_n equal c beyond
 the window?), ``offence_tail`` (the tail certificate of A(eps) about c),
 ``center_classes`` (all centers, grouped by shared offence tail),
 ``pair_status`` (do all, none or some pairs beyond a cut reach eps?), and
-the pair-form and I* searches ``pair_verdict`` and ``istar``.
+the pair-form and I* searches ``pair_verdict`` and ``istar``.  Each model
+also lists ``values``, the values certified to recur (possibly none).
+Scenarios cache ``center_classes``, which the definition and E_k forms
+share.
 
 The built-ins mirror the audited constructions: the harmonic sequence
 x_n = 1/n, the block-harmonic sequence x_n = 1/j on Delta_j, constant
@@ -164,6 +167,7 @@ class ConvergentTail:
     exact_hits: Optional[Callable[[float, int], bool]] = None
 
     blockwise: ClassVar[bool] = False
+    values: ClassVar[tuple] = ()      # no value is certified to recur
 
     def __post_init__(self):
         if self.interval is None:
@@ -301,6 +305,7 @@ class BlockTail:
 
     interval: ClassVar[None] = None   # every block recurs; no tail interval
     blockwise: ClassVar[bool] = True
+    values: ClassVar[tuple] = ()      # block values recur, but none is listed
 
     def __post_init__(self):
         if self.value_interval is None:
@@ -429,13 +434,15 @@ class BlockTail:
         return tails
 
     def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
-        if ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR:
-            # Cut rule: smallest J with envelope(J) < eps / (2 * scale);
-            # off the first J blocks every pair norm stays below eps.  D is
-            # one run of blocks, so J may reach 2^53, the last J a float
-            # holds exactly.
-            j_cut = _least_below(self.envelope, eps / (2.0 * gp.scale),
-                                 2 ** 53)
+        target = eps / (2.0 * gp.scale)
+        if (ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR
+                and target > 0.0):
+            # Cut rule: smallest J with envelope(J) < target; off the first
+            # J blocks every pair norm stays below eps.  D is one run of
+            # blocks, so J may reach 2^53, the last J a float holds
+            # exactly.  When the target underflows to 0 no cut is tried,
+            # as ConvergentTail tries no E_k(0), and the rules below decide.
+            j_cut = _least_below(self.envelope, target, 2 ** 53)
             if self.pair_status(s, gp, j_cut, eps) == NONE:
                 return dict(
                     verdict=Verdict(IN, "off-D blocks have pairwise "
@@ -591,6 +598,8 @@ class SequenceScenario:
     nominal_limit: Optional[float] = None
     points_cache: dict = field(default_factory=dict, init=False,
                                compare=False, repr=False)
+    classes_cache: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
 
     def points(self, n_max: int) -> np.ndarray:
         """x_1..x_N as a read-only array (cached on this scenario)."""
@@ -601,6 +610,17 @@ class SequenceScenario:
             )
             cached.setflags(write=False)
             self.points_cache[n_max] = cached
+        return cached
+
+    def center_classes(self, gp: GapProfile, eps: float,
+                       n_max: int) -> CenterClasses:
+        """The tail model's ``center_classes`` (cached on this scenario,
+        like the points; the split does not depend on the ideal)."""
+        key = (gp, eps, n_max)
+        cached = self.classes_cache.get(key)
+        if cached is None:
+            cached = self.tail_model.center_classes(self, gp, eps, n_max)
+            self.classes_cache[key] = cached
         return cached
 
     def tail_hits(self, c: float, n_max: int) -> bool:

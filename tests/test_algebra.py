@@ -21,7 +21,10 @@ from cstarseq.algebra import (
     matrix_element,
     multiply,
     op_norm,
+    op_norms,
+    positivity_rule,
     precedes,
+    self_adjoint_rule,
     spectrum,
 )
 from cstarseq.errors import DomainError, NumericError, StructuralError
@@ -336,3 +339,186 @@ class TestCstarIdentityProperties:
     def test_self_adjoint_detection(self):
         assert is_self_adjoint(matrix_element([[1, 2], [2, 5]]))
         assert not is_self_adjoint(matrix_element([[1, 2], [3, 5]]))
+
+
+# ---------------------------------------------------------------------------
+# The stacked positivity rule
+
+
+@st.composite
+def stacked_elements(draw):
+    """(descriptor, stack, cases): 1 to 5 elements of M1..M16 (real or complex)
+    or of 64-point functions, each PSD, indefinite, PSD plus an
+    anti-Hermitian part near the self-adjointness tolerance, or with an
+    a - a* that overflows."""
+    kind = draw(st.sampled_from(["matrix", "function"]))
+    if kind == "matrix":
+        dim = draw(st.integers(1, 16))
+        scalars = draw(st.sampled_from(["real", "complex"]))
+        desc = matrix_algebra(dim, scalars)
+    else:
+        desc = function_algebra(64)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cases = draw(st.lists(
+        st.sampled_from(["psd", "indefinite", "near", "overflow"]),
+        min_size=1, max_size=5))
+    stack = np.stack([_element_entries(rng, desc, case, draw)
+                      for case in cases])
+    return desc, stack, cases
+
+
+def _element_entries(rng, desc, case, draw):
+    shape = desc.shape
+    x = rng.standard_normal(shape)
+    if desc.kind == "function" or desc.scalars == "complex":
+        x = x + 1j * rng.standard_normal(shape)
+    if desc.kind == "function":
+        p = np.abs(x) ** 2
+        k = 1j * rng.standard_normal(shape)
+        if case == "indefinite":
+            p = p - np.max(p) / 2.0
+    else:
+        p = x.conj().T @ x
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        k = (y - y.conj().T) / 2.0
+        if case == "indefinite":
+            p = p - np.eye(shape[0]) * np.max(np.abs(p)) / 2.0
+    p = p.astype(complex)
+    if case == "near":
+        # t ||k|| is 10^u times the tolerance scale, u within a decade of 0.
+        u = draw(st.floats(min_value=-1.0, max_value=1.0))
+        norm_k, norm_p = (np.linalg.norm(v, np.inf if v.ndim == 1 else 2)
+                          for v in (k, p))
+        if norm_k > 0.0:
+            p = p + (10.0 ** u * DEFAULT_TOL.self_adjoint_tol
+                     * (1.0 + norm_p) / norm_k) * k
+    if case == "overflow":
+        p = p.copy()
+        if desc.kind == "function":
+            p[0] = 1e308j
+        elif shape[0] > 1:
+            p[0, 1], p[1, 0] = 1e308, -1e308
+        else:
+            p[0, 0] = 1e308j
+    return p
+
+
+def _bits(arr) -> bytes:
+    return np.ascontiguousarray(arr).tobytes()
+
+
+def _jacobi_norm(m: np.ndarray) -> float:
+    """Largest singular value from the Jacobi solver.  The matrix is scaled
+    to unit max entry first: the solver's accuracy is absolute at scale 1,
+    and a deviation a - a* near the tolerance is about 1e-10."""
+    top = float(np.max(np.abs(m)))
+    if top == 0.0:
+        return 0.0
+    u = m / top
+    return top * math.sqrt(max(_hermitian_eigvals(u.conj().T @ u)[-1], 0.0))
+
+
+def _oracle(desc, entries):
+    """(self-adjoint, positive, margins) from the test-side Jacobi solver
+    (numpy max and min for functions).  The margins are the distances of
+    the two tested quantities from their thresholds, relative to scale."""
+    tol = DEFAULT_TOL
+    if desc.kind == "function":
+        norm = float(np.max(np.abs(entries)))
+        dev = float(np.max(np.abs(entries - entries.conj())))
+        lowest = float(np.min(entries.real))
+    else:
+        adj = entries.conj().T
+        norm = _jacobi_norm(entries)
+        dev = _jacobi_norm(entries - adj)
+        lowest = float(_hermitian_eigvals((entries + adj) / 2.0)[0])
+    sa_bound = tol.self_adjoint_tol * (1.0 + norm)
+    pos_bound = -tol.positivity_tol * (1.0 + norm)
+    self_adjoint = dev <= sa_bound
+    margins = (abs(dev - sa_bound) / (1.0 + norm),
+               abs(lowest - pos_bound) / (1.0 + norm))
+    return self_adjoint, self_adjoint and lowest >= pos_bound, margins
+
+
+class TestStackedRule:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_elements())
+    def test_stack_agrees_with_stacks_of_one_bit_for_bit(self, drawn):
+        desc, stack, cases = drawn
+        if "overflow" in cases:
+            # One finiteness check: the stack raises as its element does.
+            with np.errstate(over="ignore"):
+                for rule in (positivity_rule, self_adjoint_rule):
+                    with pytest.raises(StructuralError):
+                        rule(desc, stack[[cases.index("overflow")]])
+                    with pytest.raises(StructuralError):
+                        rule(desc, stack)
+            return
+        singles = [(positivity_rule(desc, row[None]),
+                    self_adjoint_rule(desc, row[None])) for row in stack]
+        positive, norms = positivity_rule(desc, stack)
+        self_adjoint, sa_norms = self_adjoint_rule(desc, stack)
+        assert positive.shape == norms.shape == (len(stack),)
+        assert _bits(norms) == _bits(sa_norms)
+        assert _bits(norms) == _bits(op_norms(desc, stack))
+        assert _bits(positive) == _bits(
+            np.concatenate([one[0][0] for one in singles]))
+        assert _bits(norms) == _bits(
+            np.concatenate([one[0][1] for one in singles]))
+        assert _bits(self_adjoint) == _bits(
+            np.concatenate([one[1][0] for one in singles]))
+        # The element predicates are the rule on a stack of one.
+        for row, pos, sa, norm in zip(stack, positive, self_adjoint, norms):
+            a = AlgebraElement(desc, row)
+            assert is_positive(a) is bool(pos)
+            assert is_self_adjoint(a) is bool(sa)
+            assert op_norm(a) == norm
+            assert not pos or sa
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_elements())
+    def test_stack_agrees_with_jacobi_oracle(self, drawn):
+        desc, stack, cases = drawn
+        stack = stack[[case != "overflow" for case in cases]]
+        assume(len(stack))
+        positive, _ = positivity_rule(desc, stack)
+        self_adjoint, _ = self_adjoint_rule(desc, stack)
+        for row, pos, sa in zip(stack, positive, self_adjoint):
+            want_sa, want_pos, (sa_margin, pos_margin) = _oracle(desc, row)
+            # Inputs within rounding of a threshold may go either way.
+            if sa_margin > 1e-13:
+                assert bool(sa) == want_sa
+                if want_sa and pos_margin > 1e-9:
+                    assert bool(pos) == want_pos
+                if not want_sa:
+                    assert not pos
+
+    def test_mixed_stack_decides_each_element(self):
+        # PSD, indefinite, not self-adjoint but with a PSD Hermitian part.
+        desc = matrix_algebra(2, "complex")
+        stack = np.array([[[2.0, 1.0], [1.0, 2.0]],
+                          [[1.0, 2.0], [2.0, 1.0]],
+                          [[2.0, 1.0], [0.0, 2.0]]], dtype=complex)
+        positive, norms = positivity_rule(desc, stack)
+        self_adjoint, _ = self_adjoint_rule(desc, stack)
+        assert positive.tolist() == [True, False, False]
+        assert self_adjoint.tolist() == [True, True, False]
+        assert norms[0] == pytest.approx(3.0)
+
+    def test_function_stack(self):
+        desc = function_algebra(3)
+        stack = np.array([[0.0, 1.0, 2.0], [0.0, -1.0, 2.0],
+                          [1.0, 1.0 + 1e-3j, 1.0]], dtype=complex)
+        positive, norms = positivity_rule(desc, stack)
+        assert positive.tolist() == [True, False, False]
+        assert norms.tolist() == [2.0, 2.0, abs(1.0 + 1e-3j)]
+
+    def test_empty_stack(self):
+        for desc in (matrix_algebra(3), function_algebra(5)):
+            positive, norms = positivity_rule(
+                desc, np.zeros((0, *desc.shape), dtype=complex))
+            assert positive.shape == norms.shape == (0,)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(StructuralError):
+            positivity_rule(matrix_algebra(2), np.zeros((1, 3, 3), complex))

@@ -46,6 +46,7 @@ from cstarseq.metrics import (
     make_scaled_function_metric,
     metric_by_name,
 )
+from cstarseq.reporting import RunConfig, run
 from cstarseq.sequences import (
     BlockTail,
     SequenceScenario,
@@ -254,6 +255,19 @@ class TestICauchyPair:
         m = make_scaled_function_metric(default_function_f(2.0, 64))
         with pytest.raises(DomainError):
             i_cauchy_pair_verdict(s, m, BLK, 0.1, 256)
+
+    @pytest.mark.parametrize("metric", ["diag", "scaled"])
+    def test_pair_cut_target_underflow_falls_through(self, metric):
+        # eps / (2 scale) is 0.0 for the least subnormal eps: no cut is
+        # searched, and the cell is Unknown instead of aborting the report.
+        m = metric_by_name(metric)
+        b = i_cauchy_pair_verdict(make_block_harmonic(), m, BLK, 5e-324, 16)
+        assert b.decision is Decision.UNKNOWN
+        report = run(RunConfig(scenario="block-harmonic", metric=metric,
+                               ideal="block", eps_list=(5e-324,), window=16))
+        pair = [c for c in report.to_json()["cells"]
+                if c["question"] == "i_cauchy_pair"]
+        assert [c["decision"] for c in pair] == ["unknown"]
 
     def test_pair_certificate_is_one_run(self):
         # D = blocks 1..4 000 001 costs one run, not four million ints.

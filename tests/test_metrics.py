@@ -1,17 +1,27 @@
 """Metric layer: gap profiles, built-in metrics, axiom verification."""
 
 import warnings
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarseq.algebra import const_function, function_element
+from cstarseq.algebra import (
+    DEFAULT_TOL,
+    ToleranceProfile,
+    const_function,
+    function_element,
+    is_positive,
+    op_norm,
+    precedes,
+)
 from cstarseq.errors import (
     DomainError,
     InternalConsistencyError,
     PreconditionError,
+    StructuralError,
 )
 from cstarseq.metrics import (
     ALL,
@@ -31,6 +41,42 @@ from cstarseq.metrics import (
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
+
+
+def scalar_verify_axioms(m, samples, tol):
+    """The metric axioms checked element by element, one ``precedes`` call
+    per triple: the reference for the stacked ``verify_axioms``."""
+    pts = sorted(set(float(s) for s in samples))
+    ok_i = ok_ii = ok_iii = True
+    worst = 0.0
+    witnesses = []
+    for x in pts:
+        n = op_norm(m.eval(x, x))
+        if n > tol.norm_tol:
+            ok_i = False
+            worst = max(worst, n)
+            witnesses.append((x, x))
+    for x, y in combinations(pts, 2):
+        dxy = m.eval(x, y)
+        if not is_positive(dxy, tol):
+            ok_i = False
+            witnesses.append((x, y))
+        if op_norm(dxy) <= tol.norm_tol:
+            ok_i = False
+            witnesses.append((x, y))
+        dev = float(np.max(np.abs(dxy.entries - m.eval(y, x).entries)))
+        if dev > tol.norm_tol * (1.0 + op_norm(dxy)):
+            ok_ii = False
+            worst = max(worst, dev)
+            witnesses.append((x, y))
+    for x, y, z in permutations(pts, 3):
+        lhs = m.eval(x, y)
+        rhs = m.eval(x, z) + m.eval(z, y)
+        if not precedes(lhs, rhs, tol):
+            ok_iii = False
+            worst = max(worst, op_norm(lhs) - op_norm(rhs))
+            witnesses.append((x, y, z))
+    return ok_i, ok_ii, ok_iii, worst, tuple(witnesses[:10])
 
 
 class TestGapProfile:
@@ -168,6 +214,72 @@ class TestAxiomVerification:
         assert rep.axiom_i_pass and rep.axiom_ii_pass
         assert not rep.axiom_iii_pass
         assert rep.witness_triples  # violations come with witnesses
+
+    @pytest.mark.parametrize("pts", [
+        (-1.0, -0.25, 0.0, 0.5, 2.0),
+        (0.0, 0.1, 0.3, 0.35, 1.0, 4.0, 9.0),
+        (-3.0, 1e-9, 2e-9),
+    ])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceProfile(
+        norm_tol=1e-10, self_adjoint_tol=1e-10, positivity_tol=0.3)])
+    def test_matches_scalar_loop(self, pts, tol):
+        for m in (make_reciprocal_function_metric(const_function(2.0, 8)),
+                  make_reciprocal_function_metric(function_element(
+                      [1.5, 3.0, 0.5, 2.0])),
+                  make_diag_metric(0.5), make_discrete_metric(),
+                  make_scaled_function_metric(const_function(2.0, 8))):
+            rep = verify_axioms(m, pts, tol)
+            got = (rep.axiom_i_pass, rep.axiom_ii_pass, rep.axiom_iii_pass,
+                   rep.worst_violation, rep.witness_triples)
+            assert got == scalar_verify_axioms(m, pts, tol), m.name
+            assert type(rep.worst_violation) is float
+        # The reciprocal triangle fails on every point set here, so the
+        # witnesses and the worst violation compare nontrivially.
+        rep = verify_axioms(
+            make_reciprocal_function_metric(const_function(2.0, 8)), pts, tol)
+        assert not rep.axiom_iii_pass and rep.worst_violation > 0.0
+
+    def test_chunked_triangle_matches_scalar_loop(self):
+        # 4096-point values put 256 triples in a chunk, and 9 points make
+        # 504.  Only d(4, 5) is stretched, so every triangle that fails has
+        # {x, y} = {4, 5} and lies in the second chunk.
+        base = make_scaled_function_metric(const_function(2.0, 4096))
+        m = CstarMetric(
+            algebra=base.algebra, name="stretched",
+            eval_fn=lambda x, y: base.eval(x, y) * (
+                100.0 if {x, y} == {4.0, 5.0} else 1.0),
+        )
+        pts = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
+        rep = verify_axioms(m, pts)
+        assert (rep.axiom_i_pass, rep.axiom_ii_pass, rep.axiom_iii_pass,
+                rep.worst_violation, rep.witness_triples) \
+            == scalar_verify_axioms(m, pts, DEFAULT_TOL)
+        assert rep.witness_triples[0] == (4.0, 5.0, -2.0)
+
+    def test_asymmetric_and_indefinite_metric_witnessed(self):
+        base = make_diag_metric(0.5)
+        m = CstarMetric(
+            algebra=base.algebra, name="skewed",
+            eval_fn=lambda x, y: base.eval(x, y) * (-1.0 if x < y else 1.0),
+        )
+        rep = verify_axioms(m, self.PTS)
+        assert not rep.axiom_i_pass and not rep.axiom_ii_pass
+        assert (rep.axiom_i_pass, rep.axiom_ii_pass, rep.axiom_iii_pass,
+                rep.worst_violation, rep.witness_triples) \
+            == scalar_verify_axioms(m, self.PTS, DEFAULT_TOL)
+
+    def test_overflowing_triangle_raises(self):
+        base = make_diag_metric(0.5)
+        m = CstarMetric(algebra=base.algebra, name="huge",
+                        eval_fn=lambda x, y: base.eval(x, y) * 1e307)
+        with np.errstate(over="ignore"), pytest.raises(StructuralError):
+            verify_axioms(m, (0.0, 10.0, 20.0))
+
+    def test_values_outside_the_algebra_rejected(self):
+        m = CstarMetric(algebra=make_diag_metric(0.5).algebra, name="off",
+                        eval_fn=lambda x, y: const_function(abs(x - y), 8))
+        with pytest.raises(StructuralError):
+            verify_axioms(m, self.PTS)
 
     def test_degenerate_metric_detected(self):
         base = make_discrete_metric()

@@ -1,8 +1,11 @@
 """Normed structure: axioms, induced metrics, invariance, norm convergence."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from cstarseq.algebra import DEFAULT_TOL, is_positive, op_norm, precedes
 from cstarseq.errors import DomainError, PreconditionError
 from cstarseq.ideals import Decision
 from cstarseq.metrics import make_discrete_metric, verify_axioms
@@ -17,9 +20,53 @@ from cstarseq.norms import (
     norm_convergence_verdict,
     verify_norm_axioms,
 )
-from cstarseq.sequences import make_alternating, make_constant, make_harmonic
+from cstarseq.sequences import (
+    make_alternating,
+    make_block_harmonic,
+    make_constant,
+    make_harmonic,
+)
 
 PTS = (-2.0, -0.5, 0.0, 1.0, 3.0)
+SCALARS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+
+
+def scalar_verify_norm_axioms(nrm, samples, tol=DEFAULT_TOL):
+    """The norm axioms checked element by element, one ``precedes`` call
+    per pair: the reference for the stacked ``verify_norm_axioms``."""
+    pts = sorted(set(float(s) for s in samples))
+    ok_def = ok_hom = ok_tri = True
+    worst = 0.0
+    witnesses = []
+    n0 = op_norm(nrm.eval(0.0))
+    if n0 > tol.norm_tol:
+        ok_def = False
+        worst = max(worst, n0)
+        witnesses.append((0.0,))
+    for x in pts:
+        nx = nrm.eval(x)
+        if not is_positive(nx, tol):
+            ok_def = False
+            witnesses.append((x,))
+        if x != 0.0 and op_norm(nx) <= tol.norm_tol:
+            ok_def = False
+            witnesses.append((x,))
+        for lam in SCALARS:
+            rhs = abs(lam) * nx
+            dev = float(np.max(np.abs(nrm.eval(lam * x).entries
+                                      - rhs.entries)))
+            if dev > tol.norm_tol * (1.0 + op_norm(rhs)):
+                ok_hom = False
+                worst = max(worst, dev)
+                witnesses.append((lam, x))
+    for x, y in combinations(pts, 2):
+        lhs = nrm.eval(x + y)
+        rhs = nrm.eval(x) + nrm.eval(y)
+        if not precedes(lhs, rhs, tol):
+            ok_tri = False
+            worst = max(worst, op_norm(lhs) - op_norm(rhs))
+            witnesses.append((x, y))
+    return ok_def, ok_hom, ok_tri, worst, tuple(witnesses[:10])
 
 
 class TestNormAxioms:
@@ -44,6 +91,28 @@ class TestNormAxioms:
         )
         rep = verify_norm_axioms(broken, PTS)
         assert not rep.definiteness_pass or not rep.homogeneity_pass
+
+    def test_matches_scalar_loop(self):
+        base = make_real_abs_norm()
+        diag = make_scaled_diag_norm(1.0, 2.0)
+        norms = [
+            diag, base,
+            CstarNorm(algebra=base.algebra, name="abs-plus-one",
+                      eval_fn=lambda x: base.eval(x) + base.algebra.identity()),
+            # Not subadditive: ||x||_A = x^2 diag(1, 2) breaks the triangle.
+            CstarNorm(algebra=diag.algebra, name="square",
+                      eval_fn=lambda x: diag.eval(x) * abs(x)),
+            # Not positive: -|x|.
+            CstarNorm(algebra=base.algebra, name="negated",
+                      eval_fn=lambda x: -base.eval(x)),
+        ]
+        for pts in (PTS, (0.5, 1.0, 1.5, 4.0)):
+            for nrm in norms:
+                rep = verify_norm_axioms(nrm, pts)
+                got = (rep.definiteness_pass, rep.homogeneity_pass,
+                       rep.triangle_pass, rep.worst_violation, rep.witnesses)
+                assert got == scalar_verify_norm_axioms(nrm, pts), nrm.name
+        assert not verify_norm_axioms(norms[3], PTS).triangle_pass
 
     def test_weights_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -117,6 +186,19 @@ class TestNormConvergence:
         n = make_real_abs_norm()
         b = norm_convergence_verdict(make_alternating(), n, 1.0, 0.5, 256)
         assert b.decision is Decision.NOT_IN
+
+    def test_recurring_values_are_a_protocol_member(self):
+        # Every tail model lists its certified recurring values; only the
+        # recurring model has any, so a block tail falls to the window.
+        n = make_real_abs_norm()
+        b = norm_convergence_verdict(make_alternating(), n, 1.0, 0.5, 256)
+        assert b.certificate == "value -1.0 recurs with norm >= eps"
+        assert make_harmonic().tail_model.values == ()
+        block = make_block_harmonic()
+        assert block.tail_model.values == ()
+        b = norm_convergence_verdict(block, n, 0.0, 0.1, 256)
+        assert (b.decision, b.certificate) == (
+            Decision.UNKNOWN, "no convergent tail model")
 
     def test_eps_must_be_positive(self):
         with pytest.raises(DomainError):

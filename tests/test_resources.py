@@ -42,9 +42,17 @@ WIDE_ROWS = [("block-harmonic", "scaled", "block"),
              ("harmonic", "reciprocal", "fin")]
 
 
-def test_extreme_inputs_stay_bounded():
-    cases = ([[*row, eps, 16] for row in ROWS for eps in EPS]
-             + [[*row, eps, 1 << 20] for row in WIDE_ROWS for eps in EPS])
+# Near-equal constants: 1 and 1 + 1e-15 carry the same listed name
+# ("constant:1") and differ in the last bits only.
+CONSTANT_ROWS = [(f"constant:{c!r}", m, i)
+                 for c in (1.0, 1.0 + 1e-15)
+                 for m in ("diag", "scaled", "discrete", "reciprocal")
+                 for i in ("fin", "density0", "block")]
+
+
+def _failures(cases) -> list:
+    """The cases that raised anything but a CstarSeqError, run in one child
+    under the 1 GiB cap and a 120 s timeout."""
     # One BLAS thread, so thread buffers do not count against the cap.
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
@@ -53,4 +61,16 @@ def test_extreme_inputs_stay_bounded():
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_extreme_inputs_stay_bounded():
+    cases = ([[*row, eps, 16] for row in ROWS for eps in EPS]
+             + [[*row, eps, 1 << 20] for row in WIDE_ROWS for eps in EPS])
+    assert _failures(cases) == []
+
+
+def test_near_equal_constants_stay_bounded():
+    cases = [[*row, eps, window] for row in CONSTANT_ROWS
+             for eps in (*EPS, 1e-15, 2e-15) for window in (16, 4096)]
+    assert _failures(cases) == []

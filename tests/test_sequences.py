@@ -1,10 +1,14 @@
 """Scenario generators and their tail analytics."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstarseq.cli import main
 from cstarseq.errors import DomainError
 from cstarseq.ideals import TailCertificate, TailKind, block_index
 from cstarseq.metrics import METRICS, metric_by_name
@@ -205,6 +209,49 @@ class TestBlockCaseSplit:
         s.tail_model.center_classes(s, metric_by_name(metric).gap_profile,
                                     eps, 8192)
         assert calls == []
+
+
+class TestCenterClassCache:
+    """``SequenceScenario.center_classes`` computes each split once."""
+
+    def test_audit_makes_one_split_per_key(self, monkeypatch):
+        keys = []
+        for model in (ConvergentTail, BlockTail, RecurringTail):
+            def counted(self, s, gp, eps, n_max, _split=model.center_classes):
+                keys.append((id(s), gp, eps, n_max))
+                return _split(self, s, gp, eps, n_max)
+
+            monkeypatch.setattr(model, "center_classes", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["audit-paper", "--json", "--window", "8192"])
+        assert len(keys) == len(set(keys)) == 37
+
+    @pytest.mark.parametrize("make", [make_harmonic, make_block_harmonic,
+                                      make_alternating,
+                                      lambda: make_constant(0.0)])
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_cached_split_is_shared_and_read_only(self, make, metric):
+        s = make()
+        gp = metric_by_name(metric).gap_profile
+        split = s.center_classes(gp, 0.1, 256)
+        assert s.center_classes(gp, 0.1, 256) is split
+        assert s.center_classes(gp, 0.2, 256) is not split
+        assert make().center_classes(gp, 0.1, 256) is not split
+        keys = [c.key for c in split.classes if c.key is not None]
+        for chosen in (keys, keys[:1], []):
+            mask = split.members(chosen)
+            assert mask.dtype == bool and mask.shape == (256,)
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+        assert split.members(keys).tolist() == s.center_classes(
+            gp, 0.1, 256).members(keys).tolist()
+
+    def test_status_codes_are_int8(self):
+        gp = metric_by_name("diag").gap_profile
+        codes = gp.interval_status_codes(np.zeros(4), np.ones(4), 0.5,
+                                         np.zeros(4, dtype=bool))
+        assert codes.dtype == np.int8
 
 
 class TestRegistry:
