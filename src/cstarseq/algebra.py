@@ -270,14 +270,17 @@ def positivity_rule(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> tuple:
     """Per element a of ``stack``: whether a is positive (self-adjoint,
-    with its spectrum in [0, inf)), and ||a||, as two arrays.  Matrices go
-    through one batched Hermitian eigensolve of their Hermitian parts; the
-    spectrum of a function element is its samples."""
+    with its spectrum in [0, inf)), and ||a||, as two arrays.  The
+    self-adjoint matrices go through one batched Hermitian eigensolve of
+    their Hermitian parts; the others are not positive and are not solved.
+    The spectrum of a function element is its samples."""
     self_adjoint, norms = self_adjoint_rule(descriptor, stack, tol)
     if descriptor.kind == FUNCTION:
         lowest = stack.real.min(axis=1)
     else:
-        lowest = np.linalg.eigvalsh(_hermitian_part(descriptor, stack))[:, 0]
+        lowest = np.full(len(stack), -np.inf)
+        lowest[self_adjoint] = np.linalg.eigvalsh(
+            _hermitian_part(descriptor, stack[self_adjoint]))[:, 0]
     return self_adjoint & (lowest >= -tol.positivity_tol * (1.0 + norms)), norms
 
 

@@ -300,11 +300,13 @@ def verify_axioms(
     """Exhaustively check the three metric axioms over the sample points.
 
     d(x, y) is evaluated once per ordered pair of sample points.  The
-    positivity of every pair, and the triangle inequality
+    positivity of the pairs x < y, and the triangle inequality
     d(x, y) <= d(x, z) + d(z, y) of every triple of distinct points, are
-    each one stacked ``positivity_rule`` call.  Failures are reported, not
-    raised; witnesses carry the offending points, pairs in
-    ``combinations`` and triples in ``permutations`` order.
+    each one stacked ``positivity_rule`` call; the triangle stack holds
+    n(n-1)(n-2) elements, so memory grows as O(n^3 * element size).
+    Failures are reported, not raised; witnesses carry the offending
+    points, pairs in ``combinations`` and triples in ``permutations``
+    order.
     """
     pts = sorted(set(float(s) for s in samples))
     if len(pts) < 3:
@@ -312,9 +314,8 @@ def verify_axioms(
     n = len(pts)
     desc = m.algebra
     d = stack_entries(desc, (m.eval(x, y) for x in pts for y in pts))
-    positive, norms = positivity_rule(desc, d, tol)
+    norms = op_norms(desc, d).reshape(n, n)
     d = d.reshape(n, n, *desc.shape)
-    positive, norms = positive.reshape(n, n), norms.reshape(n, n)
 
     # Axiom (i) on the diagonal: d(x, x) = 0.
     diag = np.diagonal(norms)
@@ -325,37 +326,31 @@ def verify_axioms(
     # Axioms (i) and (ii) per pair x < y: d(x, y) positive and nonzero,
     # d(y, x) = d(x, y).  A pair is a witness once per failed check.
     i, j = np.triu_indices(n, 1)
+    positive, _ = positivity_rule(desc, d[i, j], tol)
     deviation = np.abs(d[i, j] - d[j, i]).reshape(len(i), -1).max(axis=1)
     asymmetric = deviation > tol.norm_tol * (1.0 + norms[i, j])
-    fails = np.stack([~positive[i, j], norms[i, j] <= tol.norm_tol,
-                      asymmetric], axis=1)
+    fails = np.stack([~positive, norms[i, j] <= tol.norm_tol, asymmetric],
+                     axis=1)
     rows = np.nonzero(fails)[0]
     witnesses += [(pts[i[r]], pts[j[r]]) for r in rows.tolist()]
     violations += deviation[asymmetric].tolist()
 
     # Axiom (iii) per triple of distinct points (x, y, z), in the operand
-    # order (d(x, z) + d(z, y)) - d(x, y) of ``precedes``.  The stacks go in
-    # chunks of about 2^20 entries, so long sample lists stay in bounded
-    # memory; the audit's five points make one chunk.
+    # order (d(x, z) + d(z, y)) - d(x, y) of ``precedes``.
     i, j, k = np.indices((n, n, n)).reshape(3, -1)
     distinct = (i != j) & (j != k) & (i != k)
     i, j, k = i[distinct], j[distinct], k[distinct]
-    step = max(1, (1 << 20) // d[0, 0].size)
-    broken: list[int] = []
-    for lo in range(0, len(i), step):
-        t = slice(lo, lo + step)
-        rhs = d[i[t], k[t]] + d[k[t], j[t]]
-        holds, _ = positivity_rule(desc, rhs - d[i[t], j[t]], tol)
-        fail = np.flatnonzero(~holds)
-        broken += (fail + lo).tolist()
-        violations += (norms[i[t][fail], j[t][fail]]
-                       - op_norms(desc, rhs[fail])).tolist()
-    witnesses += [(pts[i[r]], pts[j[r]], pts[k[r]]) for r in broken]
+    rhs = d[i, k] + d[k, j]
+    holds, _ = positivity_rule(desc, rhs - d[i, j], tol)
+    broken = np.flatnonzero(~holds)
+    witnesses += [(pts[i[r]], pts[j[r]], pts[k[r]]) for r in broken.tolist()]
+    violations += (norms[i[broken], j[broken]]
+                   - op_norms(desc, rhs[broken])).tolist()
 
     return MetricAxiomReport(
         axiom_i_pass=not loops.size and not fails[:, :2].any(),
         axiom_ii_pass=not asymmetric.any(),
-        axiom_iii_pass=not broken,
+        axiom_iii_pass=not broken.size,
         worst_violation=max([0.0, *violations]),
         witness_triples=tuple(witnesses[:10]),
     )

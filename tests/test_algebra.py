@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -504,6 +505,19 @@ class TestStackedRule:
         assert positive.tolist() == [True, False, False]
         assert self_adjoint.tolist() == [True, True, False]
         assert norms[0] == pytest.approx(3.0)
+
+    def test_non_self_adjoint_elements_are_not_solved(self):
+        # a - a* and ||a|| are finite, but a + a* overflows: a is not
+        # self-adjoint, so its Hermitian part is never formed.
+        desc = matrix_algebra(2, "complex")
+        stack = np.array([[[1e308, 5e307], [0.0, 1e308]],
+                          [[2.0, 1.0], [1.0, 2.0]]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            positive, norms = positivity_rule(desc, stack)
+            assert not is_positive(AlgebraElement(desc, stack[0]))
+        assert positive.tolist() == [False, True]
+        assert np.isfinite(norms).all()
 
     def test_function_stack(self):
         desc = function_algebra(3)

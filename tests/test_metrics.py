@@ -14,6 +14,7 @@ from cstarseq.algebra import (
     const_function,
     function_element,
     is_positive,
+    matrix_element,
     op_norm,
     precedes,
 )
@@ -239,23 +240,6 @@ class TestAxiomVerification:
             make_reciprocal_function_metric(const_function(2.0, 8)), pts, tol)
         assert not rep.axiom_iii_pass and rep.worst_violation > 0.0
 
-    def test_chunked_triangle_matches_scalar_loop(self):
-        # 4096-point values put 256 triples in a chunk, and 9 points make
-        # 504.  Only d(4, 5) is stretched, so every triangle that fails has
-        # {x, y} = {4, 5} and lies in the second chunk.
-        base = make_scaled_function_metric(const_function(2.0, 4096))
-        m = CstarMetric(
-            algebra=base.algebra, name="stretched",
-            eval_fn=lambda x, y: base.eval(x, y) * (
-                100.0 if {x, y} == {4.0, 5.0} else 1.0),
-        )
-        pts = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
-        rep = verify_axioms(m, pts)
-        assert (rep.axiom_i_pass, rep.axiom_ii_pass, rep.axiom_iii_pass,
-                rep.worst_violation, rep.witness_triples) \
-            == scalar_verify_axioms(m, pts, DEFAULT_TOL)
-        assert rep.witness_triples[0] == (4.0, 5.0, -2.0)
-
     def test_asymmetric_and_indefinite_metric_witnessed(self):
         base = make_diag_metric(0.5)
         m = CstarMetric(
@@ -274,6 +258,25 @@ class TestAxiomVerification:
                         eval_fn=lambda x, y: base.eval(x, y) * 1e307)
         with np.errstate(over="ignore"), pytest.raises(StructuralError):
             verify_axioms(m, (0.0, 10.0, 20.0))
+
+    def test_overflowing_loop_distance_reported(self):
+        # d(x, x) is finite but d(x, x) - d(x, x)* overflows.  Only pairs
+        # of distinct points go through the positivity rule, so the loop
+        # is reported as an axiom (i) failure, not raised.
+        base = make_diag_metric(0.5)
+        loop = matrix_element([[0.0, 1e308], [-1e308, 0.0]])
+        m = CstarMetric(
+            algebra=base.algebra, name="looped",
+            eval_fn=lambda x, y: loop if x == y else base.eval(x, y),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_axioms(m, self.PTS)
+        assert not rep.axiom_i_pass and rep.axiom_ii_pass
+        assert rep.worst_violation == 1e308
+        assert (rep.axiom_i_pass, rep.axiom_ii_pass, rep.axiom_iii_pass,
+                rep.worst_violation, rep.witness_triples) \
+            == scalar_verify_axioms(m, self.PTS, DEFAULT_TOL)
 
     def test_values_outside_the_algebra_rejected(self):
         m = CstarMetric(algebra=make_diag_metric(0.5).algebra, name="off",
