@@ -43,7 +43,6 @@ from .errors import (
     CstarSeqError,
     DomainError,
     InternalConsistencyError,
-    NumericError,
     PreconditionError,
     StructuralError,
     UnsupportedOperationError,

@@ -18,6 +18,7 @@ per step; the element predicates run the same rule on a stack of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -218,10 +219,17 @@ def op_norm(a: AlgebraElement) -> float:
 
 def op_norms(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
     """``op_norm`` of each element of ``stack``, a stack of entries of
-    ``descriptor`` (axis 0 = element)."""
+    ``descriptor`` (axis 0 = element).  Raises StructuralError when a norm
+    overflows: finite entries can have a norm above the float range."""
     if descriptor.kind == FUNCTION:
-        return np.abs(stack).max(axis=1)
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+        with np.errstate(over="ignore"):
+            norms = np.abs(stack).max(axis=1)
+    else:
+        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    # A Python pass: a numpy reduction costs more on the usual stack of one.
+    if not all(map(math.isfinite, norms.tolist())):
+        raise StructuralError("operator norm overflows")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -241,8 +249,32 @@ def _sorted_spec(values: Iterable[complex], tol: ToleranceProfile) -> Spectrum:
     return Spectrum(values=tuple(vals), is_real=flags)
 
 
-def _hermitian_part(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
-    return (stack + _adjoints(descriptor, stack)) / 2.0
+# No entry of an element exceeds its norm, so a + a* and a - a* stay finite
+# while every norm is below half the float range; a quarter leaves margin for
+# the rounding of the computed norms.
+_SAFE_NORM = np.finfo(float).max / 4
+
+
+def _with_adjoints(
+    descriptor: AlgebraDescriptor, stack: np.ndarray, norms: np.ndarray, op,
+) -> np.ndarray:
+    """op(a, a*) for each a of ``stack``, whose norms are ``norms``, with op
+    numpy's add or subtract.  Raises StructuralError, with no numpy warning,
+    when one overflows."""
+    adjoints = _adjoints(descriptor, stack)
+    if max(norms.tolist(), default=0.0) < _SAFE_NORM:
+        return op(stack, adjoints)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op(stack, adjoints)
+    if not np.isfinite(out).all():
+        raise StructuralError("a + a* or a - a* overflows")
+    return out
+
+
+def _hermitian_part(
+    descriptor: AlgebraDescriptor, stack: np.ndarray, norms: np.ndarray,
+) -> np.ndarray:
+    return _with_adjoints(descriptor, stack, norms, np.add) / 2.0
 
 
 def self_adjoint_rule(
@@ -251,16 +283,14 @@ def self_adjoint_rule(
 ) -> tuple:
     """Per element a of ``stack`` (entries of ``descriptor``, axis 0 =
     element): whether ||a - a*|| <= tol * (1 + ||a||), and ||a||, as two
-    arrays.  Raises StructuralError when an a - a* overflows."""
+    arrays.  Raises StructuralError when a norm or an a - a* overflows."""
     if stack.shape[1:] != descriptor.shape:
         raise StructuralError(
             f"stack shape {stack.shape} does not hold elements of shape "
             f"{descriptor.shape}"
         )
-    deviations = stack - _adjoints(descriptor, stack)
-    if not np.isfinite(deviations).all():
-        raise StructuralError("entries must be finite")
     norms = op_norms(descriptor, stack)
+    deviations = _with_adjoints(descriptor, stack, norms, np.subtract)
     return (op_norms(descriptor, deviations)
             <= tol.self_adjoint_tol * (1.0 + norms)), norms
 
@@ -279,8 +309,8 @@ def positivity_rule(
         lowest = stack.real.min(axis=1)
     else:
         lowest = np.full(len(stack), -np.inf)
-        lowest[self_adjoint] = np.linalg.eigvalsh(
-            _hermitian_part(descriptor, stack[self_adjoint]))[:, 0]
+        lowest[self_adjoint] = np.linalg.eigvalsh(_hermitian_part(
+            descriptor, stack[self_adjoint], norms[self_adjoint]))[:, 0]
     return self_adjoint & (lowest >= -tol.positivity_tol * (1.0 + norms)), norms
 
 
@@ -298,9 +328,10 @@ def spectrum(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum
     """
     if a.descriptor.kind == FUNCTION:
         return _sorted_spec(a.entries, tol)
-    if is_self_adjoint(a, tol):
-        return _sorted_spec(
-            np.linalg.eigvalsh(_hermitian_part(a.descriptor, a.entries)), tol)
+    self_adjoint, norms = self_adjoint_rule(a.descriptor, a.entries[None], tol)
+    if self_adjoint[0]:
+        return _sorted_spec(np.linalg.eigvalsh(
+            _hermitian_part(a.descriptor, a.entries, norms)), tol)
     # Non-self-adjoint spectra are only needed incidentally.
     return _sorted_spec(np.linalg.eigvals(a.entries), tol)
 

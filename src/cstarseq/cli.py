@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -32,11 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", default=None)
     p_run.add_argument("--metric", default=None)
     p_run.add_argument("--ideal", default=None)
-    p_run.add_argument("--eps", type=float, action="append", default=None,
+    p_run.add_argument("--eps", dest="eps_list", type=float, action="append",
                        help="epsilon level (repeatable; default 0.1 and 0.01)")
     p_run.add_argument("--window", type=int, default=None)
     p_run.add_argument("--limit", type=float, default=None)
-    p_run.add_argument("--strict", action="store_true",
+    p_run.add_argument("--strict", action="store_const", const=True,
                        help="exit 3 when any verdict is Unknown")
     p_run.add_argument("--out", default=None, help="write the JSON report here")
     p_run.add_argument("--table", action="store_true",
@@ -53,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {"scenario", "metric", "ideal", "eps_list", "window",
-                "limit", "strict", "questions"}
+# The config-file keys, and the run flags' destinations.
+_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _load_config_file(path: str) -> dict:
@@ -67,79 +68,42 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "eps_list" in raw:
-        raw["eps_list"] = tuple(raw["eps_list"])
-    if "questions" in raw:
-        raw["questions"] = tuple(raw["questions"])
     return raw
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            fields = {
-                "scenario": "harmonic",
-                "metric": "diag",
-                "ideal": "fin",
-                "eps_list": (0.1, 0.01),
-                "window": None,
-                "limit": None,
-                "strict": False,
-            }
-            if args.config:
-                fields.update(_load_config_file(args.config))
-            if args.scenario is not None:
-                fields["scenario"] = args.scenario
-            if args.metric is not None:
-                fields["metric"] = args.metric
-            if args.ideal is not None:
-                fields["ideal"] = args.ideal
-            if args.eps:
-                fields["eps_list"] = tuple(args.eps)
-            if args.window is not None:
-                fields["window"] = args.window
-            if args.limit is not None:
-                fields["limit"] = args.limit
-            if args.strict:
-                fields["strict"] = True
-            config = RunConfig(**fields)
-            report = run(config)
-            payload = stable_dumps(report.to_json())
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(payload + "\n")
-            if args.table:
-                print(report.table())
-            else:
-                print(payload)
-            return report.exit_code
-
-        if args.command == "audit-paper":
-            report = audit_paper(window=args.window)
-            payload = audit_json(report)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(payload + "\n")
-            if args.json:
-                print(payload)
-            else:
-                print(audit_lines(report))
-            return 0 if report["all_pass"] else 1
-
         if args.command == "list-scenarios":
             print(stable_dumps(list_scenarios()))
             return 0
+        if args.command == "run":
+            fields = _load_config_file(args.config) if args.config else {}
+            fields.update((name, getattr(args, name)) for name in _FIELDS
+                          if getattr(args, name, None) is not None)
+            report = run(RunConfig(**fields))
+            payload = stable_dumps(report.to_json())
+            text = report.table() if args.table else payload
+            code = report.exit_code
+        else:
+            report = audit_paper(window=args.window)
+            payload = audit_json(report)
+            text = payload if args.json else audit_lines(report)
+            code = 0 if report["all_pass"] else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CstarSeqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(payload + "\n")
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,14 +17,6 @@ class PreconditionError(CstarSeqError, ValueError):
     """A documented precondition was violated by the caller."""
 
 
-class NumericError(CstarSeqError):
-    """Iterative numerics failed to converge within budget."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class UnsupportedOperationError(CstarSeqError):
     """Operation is not available for the given ideal (e.g. lacks AP)."""
 

@@ -14,13 +14,15 @@ Exit-code contract for runs:
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .convergence import (
-    VerdictBundle,
+    Question,
     cauchy_criteria_cross_check,
     counterexample_audit,
     i_cauchy_def_verdict,
@@ -52,19 +54,33 @@ from .norms import (
     norm_convergence_verdict,
     verify_norm_axioms,
 )
-from .sequences import SCENARIOS, SequenceScenario, scenario_by_name
+from .sequences import SCENARIOS, scenario_by_name
 
 DEFAULT_WINDOW = 4096
 WINDOW_ENV_VAR = "CSTAR_SEQ_WINDOW"
 MAX_WINDOW = 1 << 20
 
-_QUESTIONS = (
-    "i_convergence",
-    "i_cauchy_definition",
-    "i_cauchy_pair",
-    "i_cauchy_ek",
-    "i_star_cauchy",
-)
+# The engine of each run question, in report order, called as
+# (scenario, metric, ideal, limit, eps, window).  Each entry looks its engine
+# up in this module's globals at call time, so a wrapper rebound over the
+# module attribute (bench/tracing.py installs such wrappers) sees every call.
+_ENGINES = {
+    Question.ICONV: lambda s, m, ideal, limit, eps, n: (
+        None if limit is None
+        else i_convergence_verdict(s, m, limit, ideal, eps, n)),
+    Question.ICAUCHY_DEF: lambda s, m, ideal, limit, eps, n: (
+        i_cauchy_def_verdict(s, m, ideal, eps, n)),
+    Question.ICAUCHY_PAIR: lambda s, m, ideal, limit, eps, n: (
+        i_cauchy_pair_verdict(s, m, ideal, eps, n)),
+    Question.ICAUCHY_EK: lambda s, m, ideal, limit, eps, n: (
+        i_cauchy_ek_verdict(s, m, ideal, eps, n)),
+    Question.ISTAR_CAUCHY: lambda s, m, ideal, limit, eps, n: (
+        i_star_cauchy_verdict(s, m, ideal, SetDescription.full(n), eps, n)),
+}
+_QUESTIONS = tuple(q.value for q in _ENGINES)
+# The three equivalent I-Cauchy criteria, compared for conflicts.
+_CAUCHY_QUESTIONS = (Question.ICAUCHY_DEF.value, Question.ICAUCHY_PAIR.value,
+                     Question.ICAUCHY_EK.value)
 
 # Listed names, read from the registries.
 _SCENARIO_NAMES = tuple(name if arg is None else f"{name}:{arg}"
@@ -73,25 +89,42 @@ _METRIC_NAMES = tuple(METRICS) + tuple(f"induced:{n}" for n in NORMS)
 _IDEAL_NAMES = tuple(IDEALS)
 
 
+def _checked_window(value, source: str = "window") -> int:
+    """``value`` if it is an integer index window in [16, MAX_WINDOW]."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 16 <= value <= MAX_WINDOW):
+        raise ConfigError(
+            f"{source} must be an integer in [16, {MAX_WINDOW}], "
+            f"got {value!r}", field="window")
+    return value
+
+
 def default_window() -> int:
     raw = os.environ.get(WINDOW_ENV_VAR)
     if raw is None:
         return DEFAULT_WINDOW
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{WINDOW_ENV_VAR} must be an integer, got {raw!r}", field="window"
-        ) from exc
-    if not (16 <= value <= MAX_WINDOW):
-        raise ConfigError(
-            f"{WINDOW_ENV_VAR} must be in [16, {MAX_WINDOW}]", field="window"
-        )
-    return value
+    except ValueError:
+        value = raw
+    return _checked_window(value, WINDOW_ENV_VAR)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _require(ok: bool, name: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of one run.  The fields are also the keys of a
+    ``cstarseq run --config`` file and the destinations of the ``run``
+    flags; ``validated`` checks every value, whatever its source."""
+
     scenario: str = "harmonic"
     metric: str = "diag"
     ideal: str = "fin"
@@ -100,50 +133,51 @@ class RunConfig:
     limit: Optional[float] = None
     questions: tuple = _QUESTIONS
     strict: bool = False
-    metric_params: dict = field(default_factory=dict)
 
     def validated(self) -> "RunConfig":
-        if self.scenario.partition(":")[0] not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}",
-                              field="scenario")
-        base, _, norm = self.metric.partition(":")
-        if base == "induced":
-            if norm not in NORMS:
-                raise ConfigError(f"unknown induced norm in {self.metric!r}",
-                                  field="metric")
-        elif base not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}", field="metric")
-        if self.ideal not in IDEALS:
-            raise ConfigError(f"unknown ideal {self.ideal!r}", field="ideal")
-        if not self.eps_list or any(e <= 0 for e in self.eps_list):
-            raise ConfigError("eps_list must be nonempty and positive",
-                              field="eps_list")
-        window = self.window if self.window is not None else default_window()
-        if not (16 <= window <= MAX_WINDOW):
-            raise ConfigError(f"window must be in [16, {MAX_WINDOW}]",
-                              field="window")
-        unknown_q = [q for q in self.questions if q not in _QUESTIONS]
-        if unknown_q:
-            raise ConfigError(f"unknown questions {unknown_q}",
-                              field="questions")
-        return RunConfig(
+        """A copy with the window resolved, eps as floats and the questions
+        in report order; ConfigError names the first bad field."""
+        return self._resolved()[0]
+
+    def _resolved(self) -> tuple:
+        """``validated()`` and the scenario, metric and ideal its names
+        select, each built once by its registry."""
+        built = []
+        for name, build in (("scenario", scenario_by_name),
+                            ("metric", build_metric),
+                            ("ideal", ideal_by_name)):
+            value = getattr(self, name)
+            _require(isinstance(value, str), name, "a string", value)
+            try:
+                built.append(build(value))
+            except ValueError as exc:
+                raise ConfigError(str(exc), field=name) from exc
+        eps = self.eps_list
+        _require(isinstance(eps, (list, tuple)) and len(eps) > 0
+                 and all(_is_real(e) and e > 0 for e in eps),
+                 "eps_list", "a nonempty list of positive numbers", eps)
+        window = (default_window() if self.window is None
+                  else _checked_window(self.window))
+        _require(self.limit is None
+                 or (_is_real(self.limit) and not math.isnan(self.limit)),
+                 "limit", "a number or null", self.limit)
+        _require(isinstance(self.questions, (list, tuple))
+                 and all(q in _QUESTIONS for q in self.questions),
+                 "questions", f"a list drawn from {list(_QUESTIONS)}",
+                 self.questions)
+        _require(isinstance(self.strict, bool), "strict", "true or false",
+                 self.strict)
+        cfg = RunConfig(
             scenario=self.scenario, metric=self.metric, ideal=self.ideal,
-            eps_list=tuple(float(e) for e in self.eps_list), window=window,
-            limit=self.limit, questions=tuple(self.questions),
-            strict=self.strict, metric_params=dict(self.metric_params),
+            eps_list=tuple(float(e) for e in eps), window=window,
+            limit=self.limit,
+            questions=tuple(q for q in _QUESTIONS if q in self.questions),
+            strict=self.strict,
         )
+        return cfg, tuple(built)
 
     def to_json(self):
-        return {
-            "scenario": self.scenario,
-            "metric": self.metric,
-            "ideal": self.ideal,
-            "eps_list": list(self.eps_list),
-            "window": self.window,
-            "limit": self.limit,
-            "questions": list(self.questions),
-            "strict": self.strict,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_metric(name: str, **params) -> CstarMetric:
@@ -238,7 +272,7 @@ class RunReport:
         for cell in self.cells:
             lines.append(
                 f"{cell['question']:<22} {cell['epsilon']:>8g} "
-                f"{cell['decision']:<8} {cell['certificate'][:44]}"
+                f"{cell['decision']:<8} {cell['certificate']}"
             )
         lines.append("-" * 78)
         lines.append(
@@ -248,32 +282,9 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _question_bundle(
-    q: str, s: SequenceScenario, m: CstarMetric, ideal: IdealDescriptor,
-    limit: Optional[float], eps: float, window: int,
-) -> Optional[VerdictBundle]:
-    if q == "i_convergence":
-        if limit is None:
-            return None
-        return i_convergence_verdict(s, m, limit, ideal, eps, window)
-    if q == "i_cauchy_definition":
-        return i_cauchy_def_verdict(s, m, ideal, eps, window)
-    if q == "i_cauchy_pair":
-        return i_cauchy_pair_verdict(s, m, ideal, eps, window)
-    if q == "i_cauchy_ek":
-        return i_cauchy_ek_verdict(s, m, ideal, eps, window)
-    if q == "i_star_cauchy":
-        witness = SetDescription.full(window)
-        return i_star_cauchy_verdict(s, m, ideal, witness, eps, window)
-    raise ConfigError(f"unknown question {q!r}", field="questions")
-
-
 def run(config: RunConfig) -> RunReport:
     t0 = time.monotonic()
-    cfg = config.validated()
-    s = scenario_by_name(cfg.scenario)
-    m = build_metric(cfg.metric, **cfg.metric_params)
-    ideal = ideal_by_name(cfg.ideal)
+    cfg, (s, m, ideal) = config._resolved()
     limit = cfg.limit if cfg.limit is not None else s.nominal_limit
 
     cells = []
@@ -282,12 +293,12 @@ def run(config: RunConfig) -> RunReport:
     for eps in cfg.eps_list:
         by_criterion: dict[str, Decision] = {}
         for q in cfg.questions:
-            bundle = _question_bundle(q, s, m, ideal, limit, eps, cfg.window)
+            bundle = _ENGINES[Question(q)](s, m, ideal, limit, eps, cfg.window)
             if bundle is None:
                 continue
             if bundle.decision is UNKNOWN:
                 unknown += 1
-            if q.startswith("i_cauchy"):
+            if q in _CAUCHY_QUESTIONS:
                 by_criterion[q] = bundle.decision
             cells.append({
                 "question": q,
@@ -331,7 +342,8 @@ def _claim(name: str, ok: bool, detail: str = "") -> dict:
 def audit_paper(window: Optional[int] = None) -> dict:
     """Re-derive every audited claim and report one PASS/FAIL line each."""
     t0 = time.monotonic()
-    n = window if window is not None else max(default_window(), 8192)
+    n = (_checked_window(window) if window is not None
+         else max(default_window(), 8192))
     claims: list[dict] = []
 
     fin = IdealDescriptor.fin()

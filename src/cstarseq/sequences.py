@@ -698,6 +698,8 @@ def make_block_harmonic() -> SequenceScenario:
 
 def make_constant(value: float) -> SequenceScenario:
     v = float(value)
+    if not math.isfinite(v):
+        raise DomainError(f"a constant must be finite, got {v!r}")
     return SequenceScenario(
         name=f"constant:{v:g}",
         generator=lambda n: np.full(np.shape(n), v) if np.ndim(n) else v,
@@ -737,4 +739,8 @@ def scenario_by_name(name: str, **params) -> SequenceScenario:
         raise DomainError(f"unknown scenario {name!r}")
     if listed_arg is None:
         return factory()
-    return factory(float(arg) if sep else float(params.get("value", 0.0)))
+    try:
+        value = float(arg) if sep else float(params.get("value", 0.0))
+    except ValueError as exc:
+        raise DomainError(f"scenario {name!r} needs a number after ':'") from exc
+    return factory(value)

@@ -28,7 +28,7 @@ from cstarseq.algebra import (
     self_adjoint_rule,
     spectrum,
 )
-from cstarseq.errors import DomainError, NumericError, StructuralError
+from cstarseq.errors import DomainError, StructuralError
 
 finite = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -39,11 +39,15 @@ finite = st.floats(
 # Reference eigensolver, independent of LAPACK: cyclic complex Jacobi sweeps.
 
 
+class JacobiDidNotConverge(Exception):
+    """The reference solver exhausted its sweep budget."""
+
+
 def _hermitian_eigvals(h: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix via cyclic complex Jacobi sweeps.
 
-    Returns the eigenvalues sorted ascending.  Raises NumericError with the
-    final off-diagonal residual if the sweep budget is exhausted.
+    Returns the eigenvalues sorted ascending.  Raises JacobiDidNotConverge
+    with the final off-diagonal residual if the sweep budget is exhausted.
     """
     n = h.shape[0]
     a = np.array(h, dtype=complex)
@@ -90,10 +94,8 @@ def _hermitian_eigvals(h: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
                 a[q, :] = s * rowp + c * ephi.conjugate() * rowq
     else:
         if offdiag_norm(a) > stop:
-            raise NumericError(
-                "Jacobi iteration did not converge",
-                residual=offdiag_norm(a),
-            )
+            raise JacobiDidNotConverge(
+                f"residual {offdiag_norm(a):g} after {max_sweeps} sweeps")
     return np.sort(np.diag(a).real)
 
 
@@ -518,6 +520,25 @@ class TestStackedRule:
             assert not is_positive(AlgebraElement(desc, stack[0]))
         assert positive.tolist() == [False, True]
         assert np.isfinite(norms).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries, norm_overflows", [
+        # ||a|| = 2e308 is above the float range.
+        (np.full((2, 2), 1e308), True),
+        (np.array([1.5e308 + 1.5e308j, 1.0]), True),
+        # ||a|| = 1e308, but a + a* = 2e308 overflows.
+        (np.diag([1e308, 1.0]), False),
+    ])
+    def test_overflow_raises_without_warning(self, entries, norm_overflows):
+        a = (matrix_element(entries) if entries.ndim == 2
+             else function_element(entries))
+        with pytest.raises(StructuralError):
+            is_positive(a)
+        if norm_overflows:
+            with pytest.raises(StructuralError):
+                op_norm(a)
+        else:
+            assert op_norm(a) == 1e308
 
     def test_function_stack(self):
         desc = function_algebra(3)

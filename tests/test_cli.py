@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cstarseq import reporting
 from cstarseq.cli import main
 from cstarseq.errors import ConfigError
 from cstarseq.reporting import (
@@ -157,6 +158,86 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "[PASS]" in out
+
+
+# Inputs that are no run configuration: (argv, config-file object or None).
+MALFORMED = [
+    (["run", "--scenario", "constant:abc"], None),
+    (["run", "--scenario", "harmonic:5"], None),
+    (["run", "--scenario", "constant:nan"], None),
+    (["run", "--eps", "nan"], None),
+    (["run"], {"eps_list": 0.1}),
+    (["run"], {"window": "abc"}),
+    (["run"], {"scenario": 5}),
+    (["run"], {"limit": "x"}),
+    (["run"], {"strict": "no"}),
+    (["audit-paper", "--window", "4"], None),
+    (["audit-paper", "--window", "-5"], None),
+    (["audit-paper", "--window", "4194304"], None),
+]
+
+
+class TestConfigPath:
+    @pytest.mark.parametrize(
+        "argv, config", MALFORMED,
+        ids=[" ".join(argv) + (f" {config}" if config else "")
+             for argv, config in MALFORMED])
+    def test_malformed_input_exits_two(self, capsys, tmp_path, argv, config):
+        # In-process, a traceback would be an exception escaping main.
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_flags_override_config_fields(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenario": "alternating", "eps_list": [0.5], "window": 64,
+            "strict": False,
+        }))
+        main(["run", "--config", str(path), "--eps", "0.25",
+              "--window", "128", "--strict"])
+        cfg = json.loads(capsys.readouterr().out)["config"]
+        assert (cfg["scenario"], cfg["eps_list"], cfg["window"],
+                cfg["strict"]) == ("alternating", [0.25], 128, True)
+
+    def test_config_questions_run_in_table_order(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "questions": ["i_star_cauchy", "i_cauchy_pair"],
+            "eps_list": [0.1], "window": 64,
+        }))
+        assert main(["run", "--config", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        want = ["i_cauchy_pair", "i_star_cauchy"]
+        assert [c["question"] for c in doc["cells"]] == want
+        assert doc["config"]["questions"] == want
+
+    def test_run_calls_engines_through_module_attributes(self, monkeypatch):
+        # A wrapper rebound over the module attribute sees every call.
+        seen = []
+        engine = reporting.i_cauchy_pair_verdict
+
+        def counting(*args, **kwargs):
+            seen.append(args[-2])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(reporting, "i_cauchy_pair_verdict", counting)
+        run(RunConfig(eps_list=(0.1, 0.01, 0.001), window=64))
+        assert seen == [0.1, 0.01, 0.001]
+
+    def test_table_keeps_whole_certificates(self):
+        report = run(RunConfig(scenario="block-harmonic", metric="scaled",
+                               ideal="block", window=512))
+        lines = report.table().splitlines()
+        certificates = [c["certificate"] for c in report.cells]
+        assert max(map(len, certificates)) > 44
+        for cell in report.cells:
+            assert any(line.startswith(cell["question"])
+                       and line.endswith(cell["certificate"])
+                       for line in lines)
 
 
 class TestAuditDeterminism:
