@@ -249,32 +249,19 @@ def _sorted_spec(values: Iterable[complex], tol: ToleranceProfile) -> Spectrum:
     return Spectrum(values=tuple(vals), is_real=flags)
 
 
-# No entry of an element exceeds its norm, so a + a* and a - a* stay finite
-# while every norm is below half the float range; a quarter leaves margin for
-# the rounding of the computed norms.
-_SAFE_NORM = np.finfo(float).max / 4
-
-
-def _with_adjoints(
-    descriptor: AlgebraDescriptor, stack: np.ndarray, norms: np.ndarray, op,
-) -> np.ndarray:
-    """op(a, a*) for each a of ``stack``, whose norms are ``norms``, with op
-    numpy's add or subtract.  Raises StructuralError, with no numpy warning,
-    when one overflows."""
-    adjoints = _adjoints(descriptor, stack)
-    if max(norms.tolist(), default=0.0) < _SAFE_NORM:
-        return op(stack, adjoints)
+def _with_adjoints(descriptor: AlgebraDescriptor, stack: np.ndarray, op) -> np.ndarray:
+    """op(a, a*) for each a of ``stack``, with op numpy's add or subtract.
+    Raises StructuralError, with no numpy warning, when one is not finite:
+    an entry is inf or nan, or the sum overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = op(stack, adjoints)
+        out = op(stack, _adjoints(descriptor, stack))
     if not np.isfinite(out).all():
-        raise StructuralError("a + a* or a - a* overflows")
+        raise StructuralError("a + a* or a - a* is not finite")
     return out
 
 
-def _hermitian_part(
-    descriptor: AlgebraDescriptor, stack: np.ndarray, norms: np.ndarray,
-) -> np.ndarray:
-    return _with_adjoints(descriptor, stack, norms, np.add) / 2.0
+def _hermitian_part(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
+    return _with_adjoints(descriptor, stack, np.add) / 2.0
 
 
 def self_adjoint_rule(
@@ -283,14 +270,15 @@ def self_adjoint_rule(
 ) -> tuple:
     """Per element a of ``stack`` (entries of ``descriptor``, axis 0 =
     element): whether ||a - a*|| <= tol * (1 + ||a||), and ||a||, as two
-    arrays.  Raises StructuralError when a norm or an a - a* overflows."""
+    arrays.  Raises StructuralError when an a - a* or a norm is not
+    finite."""
     if stack.shape[1:] != descriptor.shape:
         raise StructuralError(
             f"stack shape {stack.shape} does not hold elements of shape "
             f"{descriptor.shape}"
         )
+    deviations = _with_adjoints(descriptor, stack, np.subtract)
     norms = op_norms(descriptor, stack)
-    deviations = _with_adjoints(descriptor, stack, norms, np.subtract)
     return (op_norms(descriptor, deviations)
             <= tol.self_adjoint_tol * (1.0 + norms)), norms
 
@@ -309,8 +297,8 @@ def positivity_rule(
         lowest = stack.real.min(axis=1)
     else:
         lowest = np.full(len(stack), -np.inf)
-        lowest[self_adjoint] = np.linalg.eigvalsh(_hermitian_part(
-            descriptor, stack[self_adjoint], norms[self_adjoint]))[:, 0]
+        lowest[self_adjoint] = np.linalg.eigvalsh(
+            _hermitian_part(descriptor, stack[self_adjoint]))[:, 0]
     return self_adjoint & (lowest >= -tol.positivity_tol * (1.0 + norms)), norms
 
 
@@ -328,10 +316,9 @@ def spectrum(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum
     """
     if a.descriptor.kind == FUNCTION:
         return _sorted_spec(a.entries, tol)
-    self_adjoint, norms = self_adjoint_rule(a.descriptor, a.entries[None], tol)
-    if self_adjoint[0]:
-        return _sorted_spec(np.linalg.eigvalsh(
-            _hermitian_part(a.descriptor, a.entries, norms)), tol)
+    if is_self_adjoint(a, tol):
+        return _sorted_spec(
+            np.linalg.eigvalsh(_hermitian_part(a.descriptor, a.entries)), tol)
     # Non-self-adjoint spectra are only needed incidentally.
     return _sorted_spec(np.linalg.eigvals(a.entries), tol)
 

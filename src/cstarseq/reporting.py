@@ -110,8 +110,15 @@ def default_window() -> int:
     return _checked_window(value, WINDOW_ENV_VAR)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _as_float(x) -> Optional[float]:
+    """float(x) for a real number x, or None for another value or an integer
+    beyond the float range."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 def _require(ok: bool, name: str, what: str, value) -> None:
@@ -153,13 +160,16 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc), field=name) from exc
         eps = self.eps_list
-        _require(isinstance(eps, (list, tuple)) and len(eps) > 0
-                 and all(_is_real(e) and e > 0 for e in eps),
+        floats = ([_as_float(e) for e in eps]
+                  if isinstance(eps, (list, tuple)) else [])
+        _require(len(floats) > 0
+                 and all(e is not None and e > 0 for e in floats),
                  "eps_list", "a nonempty list of positive numbers", eps)
         window = (default_window() if self.window is None
                   else _checked_window(self.window))
+        limit = _as_float(self.limit)
         _require(self.limit is None
-                 or (_is_real(self.limit) and not math.isnan(self.limit)),
+                 or (limit is not None and not math.isnan(limit)),
                  "limit", "a number or null", self.limit)
         _require(isinstance(self.questions, (list, tuple))
                  and all(q in _QUESTIONS for q in self.questions),
@@ -169,7 +179,7 @@ class RunConfig:
                  self.strict)
         cfg = RunConfig(
             scenario=self.scenario, metric=self.metric, ideal=self.ideal,
-            eps_list=tuple(float(e) for e in eps), window=window,
+            eps_list=tuple(floats), window=window,
             limit=self.limit,
             questions=tuple(q for q in _QUESTIONS if q in self.questions),
             strict=self.strict,

@@ -540,6 +540,20 @@ class TestStackedRule:
         else:
             assert op_norm(a) == 1e308
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("desc, stack", [
+        (matrix_algebra(2), np.array([[[np.inf, 0], [0, 1]]], dtype=complex)),
+        (matrix_algebra(2), np.array([[[1, np.nan], [0, 1]]], dtype=complex)),
+        (function_algebra(2), np.array([[np.inf, 1.0]])),
+        (function_algebra(2), np.array([[1j * np.inf, 1.0]])),
+    ])
+    def test_non_finite_stack_raises(self, desc, stack):
+        # The raw stacks reach the rules before any element is built, so
+        # they are rejected there, ahead of the SVD.
+        for rule in (self_adjoint_rule, positivity_rule):
+            with pytest.raises(StructuralError):
+                rule(desc, stack)
+
     def test_function_stack(self):
         desc = function_algebra(3)
         stack = np.array([[0.0, 1.0, 2.0], [0.0, -1.0, 2.0],

@@ -171,6 +171,9 @@ MALFORMED = [
     (["run"], {"scenario": 5}),
     (["run"], {"limit": "x"}),
     (["run"], {"strict": "no"}),
+    # Integers beyond the float range.
+    (["run"], {"eps_list": [10 ** 400]}),
+    (["run"], {"limit": 10 ** 400}),
     (["audit-paper", "--window", "4"], None),
     (["audit-paper", "--window", "-5"], None),
     (["audit-paper", "--window", "4194304"], None),
@@ -180,7 +183,7 @@ MALFORMED = [
 class TestConfigPath:
     @pytest.mark.parametrize(
         "argv, config", MALFORMED,
-        ids=[" ".join(argv) + (f" {config}" if config else "")
+        ids=[(" ".join(argv) + (f" {config}" if config else ""))[:48]
              for argv, config in MALFORMED])
     def test_malformed_input_exits_two(self, capsys, tmp_path, argv, config):
         # In-process, a traceback would be an exception escaping main.

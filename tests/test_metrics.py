@@ -259,6 +259,16 @@ class TestAxiomVerification:
         with np.errstate(over="ignore"), pytest.raises(StructuralError):
             verify_axioms(m, (0.0, 10.0, 20.0))
 
+    def test_overflowing_non_self_adjoint_triangle_raises(self):
+        # Every distance is finite, but d(x, z) + d(z, y) overflows.
+        base = make_diag_metric(0.5)
+        zero = matrix_element(np.zeros((2, 2)))
+        huge = matrix_element([[0.0, 1e308], [0.0, 0.0]])
+        m = CstarMetric(algebra=base.algebra, name="skew-huge",
+                        eval_fn=lambda x, y: zero if x == y else huge)
+        with np.errstate(over="ignore"), pytest.raises(StructuralError):
+            verify_axioms(m, (0.0, 10.0, 20.0))
+
     def test_overflowing_loop_distance_reported(self):
         # d(x, x) is finite but d(x, x) - d(x, x)* overflows.  Only pairs
         # of distinct points go through the positivity rule, so the loop
