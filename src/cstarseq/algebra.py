@@ -244,8 +244,14 @@ class Spectrum:
 
 
 def _sorted_spec(values: Iterable[complex], tol: ToleranceProfile) -> Spectrum:
+    """Raises StructuralError when the modulus of a value exceeds the float
+    range, as ``op_norms`` does for such a norm."""
     vals = sorted((complex(v) for v in values), key=lambda v: (v.real, v.imag))
-    flags = tuple(abs(v.imag) <= tol.self_adjoint_tol * (1.0 + abs(v)) for v in vals)
+    try:
+        flags = tuple(abs(v.imag) <= tol.self_adjoint_tol * (1.0 + abs(v))
+                      for v in vals)
+    except OverflowError as exc:
+        raise StructuralError("a spectral value's modulus is not finite") from exc
     return Spectrum(values=tuple(vals), is_real=flags)
 
 

@@ -82,12 +82,16 @@ def max_block_index(n_max: int) -> int:
 def block_mask(js, n_max: int) -> np.ndarray:
     """Bool mask over [1..n_max] of the union of the blocks Delta_j, j in js.
 
-    Only the blocks that meet the window are filled, so the cost is linear
-    in n_max whatever the number of blocks in ``js``."""
-    mask = np.zeros(max(n_max, 0), dtype=bool)
-    for j in range(1, max_block_index(n_max) + 1):
-        if j in js:
-            mask[(1 << (j - 1)) - 1::1 << j] = True
+    The mask starts filled with block 1's membership, and only the blocks
+    j >= 2 that meet the window and differ from block 1 are written over.
+    Block 1 is every odd n, half the window, so it is never written
+    stride by stride; the cost is linear in n_max whatever the number of
+    blocks in ``js``."""
+    first = 1 in js
+    mask = np.full(max(n_max, 0), first)
+    for j in range(2, max_block_index(n_max) + 1):
+        if (j in js) != first:
+            mask[(1 << (j - 1)) - 1::1 << j] = not first
     return frozen_mask(mask)
 
 

@@ -20,6 +20,12 @@ also lists ``values``, the values certified to recur (possibly none).
 Scenarios cache ``center_classes``, which the definition and E_k forms
 share.
 
+A window's points x_1..x_N are built on demand, by one generator call over
+the index array, and cached on the scenario.  Block scenarios never need
+them for A(eps): ``SequenceScenario.offenders`` decides offence once per
+block value and expands the offending blocks, so a run on a block scenario
+under any registered metric builds no points.
+
 The built-ins mirror the audited constructions: the harmonic sequence
 x_n = 1/n, the block-harmonic sequence x_n = 1/j on Delta_j, constant
 sequences and the alternating sequence (-1)^n.
@@ -631,7 +637,19 @@ class SequenceScenario:
 
     def offenders(self, gp: GapProfile, c: float, eps: float,
                   n_max: int) -> np.ndarray:
-        """Window mask of {n <= N : ||d(x_n, c)|| >= eps} under ``gp``."""
+        """Window mask of {n <= N : ||d(x_n, c)|| >= eps} under ``gp``.
+
+        A block tail's x_n is value(block_index(n)), so the rule is taken
+        once per block meeting the window, on the J = floor(log2 N) + 1
+        block values, and ``block_mask`` expands the offending blocks; no
+        points are built.  The mask is bit-identical to the pointwise one:
+        each point is its block's value, bit for bit, and ``norm_of_gaps``
+        maps each gap on its own (scale * g, scale / g or a constant)."""
+        model = self.tail_model
+        if model is not None and model.blockwise:
+            js = np.arange(1, max_block_index(n_max) + 1)
+            hits = gp.norm_of_gaps(np.abs(model.value(js) - c)) >= eps
+            return block_mask(set(js[hits].tolist()), n_max)
         return gp.norm_of_gaps(np.abs(self.points(n_max) - c)) >= eps
 
     def pair_floor(self, gp: GapProfile) -> Optional[float]:

@@ -255,6 +255,19 @@ class TestNormAndSpectrum:
         assert op_norm(a) == pytest.approx(4.0)
         assert spectrum(a).values[0].real == pytest.approx(-4.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries", [
+        # Finite samples whose modulus exceeds the float range.
+        [1.7e308 + 1.7e308j, 1.0],
+        [1.0, -1.7e308 - 1.7e308j],
+    ])
+    def test_overflowing_function_spectrum_raises(self, entries):
+        a = function_element(entries)
+        with pytest.raises(StructuralError):
+            spectrum(a)
+        with pytest.raises(StructuralError):
+            op_norm(a)
+
 
 class TestPositivityAndOrder:
     def test_a_star_a_positive(self):

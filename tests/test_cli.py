@@ -147,6 +147,17 @@ class TestCliMain:
         cfg.write_text('{"bogus": 1}')
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("argv", [["run", "--window", "64"],
+                                      ["audit-paper", "--window", "64"]])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "r.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstarseq import reporting
 from cstarseq.cli import main
 from cstarseq.errors import DomainError
-from cstarseq.ideals import TailCertificate, TailKind, block_index
+from cstarseq.ideals import (
+    BlockSet,
+    TailCertificate,
+    TailKind,
+    block_index,
+    block_mask,
+)
 from cstarseq.metrics import METRICS, metric_by_name
 from cstarseq.sequences import (
     BlockTail,
@@ -209,6 +216,53 @@ class TestBlockCaseSplit:
         s.tail_model.center_classes(s, metric_by_name(metric).gap_profile,
                                     eps, 8192)
         assert calls == []
+
+
+class TestBlockOffenders:
+    """Block scenarios build A(eps) windows from their block values."""
+
+    @pytest.mark.parametrize("scenario", sorted(BLOCK_SCENARIOS))
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_window_matches_pointwise_rule(self, scenario, metric, data):
+        s = BLOCK_SCENARIOS[scenario]()
+        gp = metric_by_name(metric).gap_profile
+        eps = data.draw(boundary_eps(gp.scale))
+        j = data.draw(st.integers(0, 40))  # 0 stands for the limit
+        c = 0.0 if j == 0 else float(s.tail_model.value(j))
+        for n in (1, 2, 3, 255, 256, 257, 4096):
+            pointwise = gp.norm_of_gaps(
+                np.abs(s.generator(np.arange(1, n + 1)) - c)) >= eps
+            got = s.offenders(gp, c, eps, n)
+            assert got.dtype == bool and got.shape == (n,)
+            assert got.tolist() == pointwise.tolist()
+
+    @pytest.mark.parametrize("with_one", [True, False])
+    @given(js=st.sets(st.integers(2, 16), max_size=8),
+           drawn=st.integers(0, 3000))
+    def test_block_mask_matches_block_index(self, with_one, js, drawn):
+        js = js | {1} if with_one else js
+        for n_max in (0, 1, 2, 3, 255, 256, 257, drawn):
+            want = np.isin(block_index(np.arange(1, n_max + 1)), sorted(js))
+            for chosen in (js, BlockSet(js)):
+                mask = block_mask(chosen, n_max)
+                assert mask.shape == (n_max,) and not mask.flags.writeable
+                assert mask.tolist() == want.tolist()
+
+    def test_block_run_builds_no_points(self, monkeypatch):
+        made = []
+
+        def recorded(name, **params):
+            made.append(scenario_by_name(name, **params))
+            return made[-1]
+
+        monkeypatch.setattr(reporting, "scenario_by_name", recorded)
+        reporting.run(reporting.RunConfig(
+            scenario="block-harmonic", metric="scaled", ideal="block",
+            window=1 << 20))
+        assert [s.name for s in made] == ["block-harmonic"]
+        assert made[0].points_cache == {}
 
 
 class TestCenterClassCache:
