@@ -43,10 +43,9 @@ from .ideals import (
     filter_membership,
     frozen_mask,
     membership,
-    tail_membership,
 )
 from .metrics import CstarMetric, GapKind, distance_norm
-from .sequences import CenterClass, SequenceScenario, make_block_harmonic
+from .sequences import SequenceScenario, make_block_harmonic
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +171,6 @@ def i_convergence_verdict(
 # I-Cauchy: definition form
 
 
-def _class_verdict(ideal: IdealDescriptor, cls: CenterClass) -> Verdict:
-    """The decision every offence tail of the class gives, else Unknown."""
-    verdicts = [tail_membership(ideal, tail) for tail in cls.tails]
-    if verdicts and all(v.decision is verdicts[0].decision for v in verdicts):
-        return verdicts[0]
-    return Verdict(UNKNOWN, "center class undecided")
-
-
 def _floor_defeats(s: SequenceScenario, m: CstarMetric, eps: float) -> bool:
     """Do distinct points keep distance >= eps while the sequence, being
     injective, has infinitely many distinct points off any D in I?"""
@@ -200,7 +191,7 @@ def i_cauchy_def_verdict(
     unknown = "schedule exhausted without certificate"
     if m.gap_profile is not None and s.tail_model is not None:
         split = s.center_classes(m.gap_profile, eps, n_max)
-        verdicts = [_class_verdict(ideal, cls) for cls in split.classes]
+        verdicts = s.class_verdicts(m.gap_profile, ideal, eps, n_max)
         for cls, v in zip(split.classes, verdicts):
             if v.decision is IN and cls.index is not None:
                 a_set = a_epsilon_set(s, m, Index(cls.index), eps, n_max)
@@ -276,7 +267,8 @@ def i_cauchy_ek_verdict(
             Verdict(UNKNOWN, "no gap profile / tail model"),
         )
     split = s.center_classes(m.gap_profile, eps, n_max)
-    decisions = [_class_verdict(ideal, cls).decision for cls in split.classes]
+    decisions = [v.decision for v in
+                 s.class_verdicts(m.gap_profile, ideal, eps, n_max)]
     failing = [c for c, d in zip(split.classes, decisions) if d is NOT_IN]
     undecided = [c for c, d in zip(split.classes, decisions) if d is UNKNOWN]
     # K is the union of the failing classes, all of N when every class

@@ -73,10 +73,6 @@ class GapProfile:
             return out
         return np.where(gaps > 0.0, self.scale, 0.0)
 
-    def offends(self, g: float, eps: float) -> bool:
-        """Does a pair at separation g violate the eps bound (norm >= eps)?"""
-        return self.norm_of_gap(g) >= eps
-
     def interval_status(
         self, glo: float, ghi: float, eps: float, zero_attainable: bool
     ) -> str:

@@ -29,7 +29,7 @@ from .algebra import (
 from .errors import DomainError, PreconditionError
 from .ideals import Decision, IN, NOT_IN
 from .metrics import CstarMetric, GapKind, GapProfile, make_discrete_metric
-from .sequences import SequenceScenario
+from .sequences import SequenceScenario, probe_depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,25 +310,26 @@ def norm_convergence_verdict(
 ) -> NormConvergenceBundle:
     """Classical norm convergence: the smallest n0 with
     || ||x_n - limit||_A || < eps for every n >= n0, certified through the
-    scenario's tail interval."""
+    scenario's tail interval.  A block tail has no such interval; a block
+    value with norm >= eps recurs, which decides NotIn."""
     if not (eps > 0.0):
         raise DomainError("eps must be positive")
     model = s.tail_model
     slope = op_norm(nrm.eval(1.0))
+    if model is not None and model.blockwise:
+        # Every block is infinite, so a block value off by eps recurs.
+        js = np.arange(1, probe_depth(n_max) + 1)
+        far = np.flatnonzero(slope * np.abs(model.value(js) - limit) >= eps)
+        if far.size:
+            return NormConvergenceBundle(
+                eps, NOT_IN, f"block {far[0] + 1} recurs with norm >= eps",
+            )
     norms = slope * np.abs(s.points(n_max) - limit)
-    if model is None or model.interval is None:
-        vals = [v for v in (model.values if model is not None else ())
-                if slope * abs(v - limit) >= eps]
-        if vals:
-            return NormConvergenceBundle(
-                eps, NOT_IN, f"value {vals[0]} recurs with norm >= eps",
-            )
-        if not np.any(norms >= eps):
-            return NormConvergenceBundle(
-                eps, Decision.UNKNOWN, "window clean but tail uncertified"
-            )
+    if model is None or model.blockwise:
         return NormConvergenceBundle(
-            eps, Decision.UNKNOWN, "no convergent tail model"
+            eps, Decision.UNKNOWN,
+            "no convergent tail model" if np.any(norms >= eps)
+            else "window clean but tail uncertified",
         )
     offending = np.nonzero(norms >= eps)[0]
     lo, hi = model.interval(n_max)

@@ -2,22 +2,21 @@
 
 A finite window can enumerate x_1..x_N exactly, but ideal-membership
 verdicts need to know how the sequence behaves beyond the window.  Each
-scenario therefore carries one of three analytic tail models:
+scenario therefore carries one of two analytic tail models:
 
 * ``ConvergentTail``  -- |x_n - limit| <= envelope(n), nonincreasing;
 * ``BlockTail``       -- x_n depends only on the dyadic block of n, with the
-  block values converging to a limit;
-* ``RecurringTail``   -- x_n eventually ranges over a fixed finite value set,
-  each value recurring infinitely often.
+  block values converging to a limit.  Every block is infinite, so each
+  block value recurs.
 
 The verdict engines in ``convergence`` ask a tail model only these
-questions, which every model answers: ``tail_hits`` (can x_n equal c beyond
-the window?), ``offence_tail`` (the tail certificate of A(eps) about c),
-``center_classes`` (all centers, grouped by shared offence tail),
-``pair_status`` (do all, none or some pairs beyond a cut reach eps?), and
-the pair-form and I* searches ``pair_verdict`` and ``istar``.  Each model
-also lists ``values``, the values certified to recur (possibly none).
-Scenarios cache ``center_classes``, which the definition and E_k forms
+questions, which every model answers: ``offence_tail`` (the tail
+certificate of A(eps) about c), ``center_classes`` (all centers, grouped by
+shared offence tail), ``pair_status`` (do all, none or some pairs beyond a
+cut reach eps?), and the pair-form and I* searches ``pair_verdict`` and
+``istar``.  ``blockwise`` tells the two apart where a caller needs the
+block values themselves.  Scenarios cache ``center_classes`` and the
+classes' verdicts under each ideal, which the definition and E_k forms
 share.
 
 A window's points x_1..x_N are built on demand, by one generator call over
@@ -28,7 +27,8 @@ under any registered metric builds no points.
 
 The built-ins mirror the audited constructions: the harmonic sequence
 x_n = 1/n, the block-harmonic sequence x_n = 1/j on Delta_j, constant
-sequences and the alternating sequence (-1)^n.
+sequences and the alternating sequence (-1)^n, which is -1 on Delta_1 (the
+odd n) and 1 on every other block.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .ideals import (
     NOT_IN,
     UNKNOWN,
     BlockSet,
+    IdealDescriptor,
     IdealKind,
     SetDescription,
     TailCertificate,
@@ -55,6 +56,7 @@ from .ideals import (
     block_union,
     frozen_mask,
     max_block_index,
+    tail_membership,
 )
 from .metrics import ALL, MIXED, NONE, STATUSES, GapKind, GapProfile
 
@@ -102,14 +104,16 @@ def _status_over(gp: GapProfile, lo: float, hi: float, eps: float,
 def _first_offending_pair(gp: GapProfile, vals: np.ndarray, eps: float):
     """First ``(i, j, gap)`` with i < j, in ``itertools.combinations``
     order, whose separation ``gap = |vals[i] - vals[j]|`` offends; None when
-    no pair does.  Row-major ``argwhere`` over the upper triangle keeps
-    that order."""
-    gaps = np.abs(vals[:, None] - vals[None, :])
-    hits = np.argwhere(np.triu(gp.norm_of_gaps(gaps) >= eps, 1))
-    if not hits.size:
+    no pair does.  The row-major first hit of the upper triangle keeps that
+    order."""
+    gaps = np.abs(vals[:, None] - vals)
+    hits = gp.norm_of_gaps(gaps) >= eps
+    idx = np.arange(len(vals))
+    hits &= idx[:, None] < idx
+    if not hits.any():
         return None
-    i, j = hits[0]
-    return int(i), int(j), float(gaps[i, j])
+    i, j = divmod(int(hits.argmax()), len(vals))
+    return i, j, float(gaps[i, j])
 
 
 def _least_below(envelope, target: float, cap: int) -> int:
@@ -173,7 +177,6 @@ class ConvergentTail:
     exact_hits: Optional[Callable[[float, int], bool]] = None
 
     blockwise: ClassVar[bool] = False
-    values: ClassVar[tuple] = ()      # no value is certified to recur
 
     def __post_init__(self):
         if self.interval is None:
@@ -308,19 +311,15 @@ class BlockTail:
     envelope: Callable[[int], float]  # |value(j) - limit| <= envelope(j)
     # smallest closed interval containing {value(i) : i > j}
     value_interval: Callable[[int], tuple] = None  # type: ignore[assignment]
+    # value is one-to-one on blocks, so any two blocks keep distinct values
+    injective: bool = False
 
-    interval: ClassVar[None] = None   # every block recurs; no tail interval
     blockwise: ClassVar[bool] = True
-    values: ClassVar[tuple] = ()      # block values recur, but none is listed
 
     def __post_init__(self):
         if self.value_interval is None:
             object.__setattr__(self, "value_interval",
                                _around(self.limit, self.envelope))
-
-    def tail_hits(self, s, c: float, n_max: int) -> bool:
-        jcap = max_block_index(n_max) + PROBE_BLOCKS
-        return bool(np.any(self.value(np.arange(1, jcap + 1)) == c))
 
     def offence_tail(self, s, gp, c, eps, n_max) -> TailCertificate:
         # Deepen the probe while the far-block interval stays ambiguous;
@@ -410,14 +409,13 @@ class BlockTail:
         depth at once; its first decided depth is where ``offence_tail``
         stops doubling, and the probed blocks up to it give its list."""
         # A zero gap needs the center inside the far interval (glo == 0):
-        # only there is it compared with the blocks just beyond the depth.
+        # only there is it compared with the blocks just beyond the depth,
+        # whose values are taken once per depth.
         inside = np.nonzero(glo <= 0.0)
-        ahead = np.add.outer(np.take(depths, inside[1]),
-                             np.arange(1, PROBE_BLOCKS + 1))
+        ahead = np.add.outer(depths, np.arange(1, PROBE_BLOCKS + 1))
+        ahead = self.value(ahead.ravel()).reshape(ahead.shape)
         zero = np.zeros(glo.shape, dtype=bool)
-        zero[inside] = (vals[inside[0]][:, None]
-                        == self.value(ahead.ravel()).reshape(ahead.shape)
-                        ).any(1)
+        zero[inside] = (vals[inside[0]][:, None] == ahead[inside[1]]).any(1)
         codes = gp.interval_status_codes(glo, ghi, eps, zero)
         decided = codes != STATUSES.index(MIXED)
         first = np.where(decided.any(1), decided.argmax(1), -1)
@@ -439,17 +437,31 @@ class BlockTail:
                                 else TailCertificate.block_cobounded(js))
         return tails
 
-    def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
+    def _pair_cut(self, gp, eps, n_max) -> Optional[int]:
+        """The J whose blocks 1..J the block-ideal pair form tries as D.
+
+        A linear gap takes the smallest J with envelope(J) < eps / (2
+        scale), off which every pair norm stays below eps.  D is one run of
+        blocks, so J may reach 2^53, the last J a float holds exactly;
+        beyond it, or when the target underflows to 0 (as ConvergentTail
+        tries no E_k(0)), no cut is tried.  A discrete or reciprocal gap
+        norm does not shrink with the gap, so J is the probe depth, where
+        only equal far values can keep every pair below eps."""
+        if gp.kind is not GapKind.LINEAR:
+            return probe_depth(n_max)
         target = eps / (2.0 * gp.scale)
-        if (ideal.kind is IdealKind.BLOCK and gp.kind is GapKind.LINEAR
-                and target > 0.0):
-            # Cut rule: smallest J with envelope(J) < target; off the first
-            # J blocks every pair norm stays below eps.  D is one run of
-            # blocks, so J may reach 2^53, the last J a float holds
-            # exactly.  When the target underflows to 0 no cut is tried,
-            # as ConvergentTail tries no E_k(0), and the rules below decide.
-            j_cut = _least_below(self.envelope, target, 2 ** 53)
-            if self.pair_status(s, gp, j_cut, eps) == NONE:
+        if target == 0.0:
+            return None
+        try:
+            return _least_below(self.envelope, target, 2 ** 53)
+        except DomainError:
+            return None
+
+    def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
+        if ideal.kind is IdealKind.BLOCK:
+            j_cut = self._pair_cut(gp, eps, n_max)
+            if (j_cut is not None
+                    and self.pair_status(s, gp, j_cut, eps) == NONE):
                 return dict(
                     verdict=Verdict(IN, "off-D blocks have pairwise "
                                         "distances < eps"),
@@ -467,9 +479,11 @@ class BlockTail:
                     NOT_IN, f"blocks {i + 1},{j + 1} recur off every "
                             f"finite D with distance >= eps"))
         floor = s.pair_floor(gp)
-        if ideal.kind is IdealKind.BLOCK and floor is not None and floor >= eps:
-            # Off any block-ideal D infinitely many whole blocks remain;
-            # their distinct values defeat discrete/reciprocal bounds.
+        if (ideal.kind is IdealKind.BLOCK and self.injective
+                and floor is not None and floor >= eps):
+            # Off any block-ideal D infinitely many whole blocks remain, and
+            # injective block values differ pairwise, so they defeat
+            # discrete/reciprocal bounds.
             return dict(verdict=Verdict(
                 NOT_IN, "distinct block values keep distance >= eps off "
                         "every D in the ideal"))
@@ -513,78 +527,7 @@ class BlockTail:
         return dict(verdict=Verdict(UNKNOWN, "far blocks undecided"))
 
 
-@dataclass(frozen=True)
-class RecurringTail:
-    values: tuple                     # x_n in values for all n; each recurs
-
-    interval: ClassVar[None] = None   # the values recur; no limit
-    blockwise: ClassVar[bool] = False
-
-    def tail_hits(self, s, c: float, n_max: int) -> bool:
-        return c in self.values
-
-    def offence_tail(self, s, gp, c, eps, n_max) -> TailCertificate:
-        status = self.pair_status(s, gp, n_max, eps, c)
-        if status == MIXED:
-            return TailCertificate.infinite()
-        return STATUS_TAIL[status]
-
-    def pair_status(self, s, gp, cut, eps, center=None) -> str:
-        """Over the values, which recur beyond every cut."""
-        if center is None:
-            gaps = [abs(v - w) for v in self.values for w in self.values]
-        else:
-            gaps = [abs(v - center) for v in self.values]
-        hits = [gp.offends(g, eps) for g in gaps]
-        return NONE if not any(hits) else ALL if all(hits) else MIXED
-
-    def center_classes(self, s, gp, eps, n_max) -> CenterClasses:
-        """One class per value, stood for by its first window index (1
-        when the window misses it)."""
-        pts = s.points(n_max)
-        classes = []
-        for v in self.values:
-            hits = np.flatnonzero(pts == v)
-            classes.append(CenterClass(
-                v, int(hits[0]) + 1 if hits.size else 1,
-                (self.offence_tail(s, gp, v, eps, n_max),),
-                TailCertificate.infinite(),
-            ))
-        return CenterClasses(
-            tuple(classes), lambda keys: frozen_mask(np.isin(pts, keys)), True,
-            "every recurring center value fails",
-            "recurring case split inconclusive",
-        )
-
-    def pair_verdict(self, s, gp, ideal, eps, n_max) -> Optional[dict]:
-        if self.pair_status(s, gp, n_max, eps) == NONE:
-            return dict(verdict=Verdict(IN, "all recurring value pairs < eps"),
-                        witness_set=SetDescription.empty(n_max))
-        if ideal.kind is IdealKind.FIN:
-            return dict(verdict=Verdict(
-                NOT_IN, "a recurring value pair keeps distance >= eps off "
-                        "every finite D"))
-        return None
-
-    def istar(self, s, gp, witness, eps, n_max, limit) -> dict:
-        """Only a cofinite witness certifies that every value recurs in it."""
-        if witness.tail.kind is not TailKind.COFINITE:
-            return dict(verdict=Verdict(
-                UNKNOWN, "witness does not certify which values recur"))
-        if self.pair_status(s, gp, n_max, eps, limit) == NONE:
-            return dict(verdict=Verdict(
-                IN, "recurring value pairs all < eps" if limit is None
-                else "all recurring values within eps of the limit"),
-                cut_index=1)
-        if limit is None:
-            return dict(verdict=Verdict(
-                NOT_IN, "a recurring value pair keeps distance >= eps"))
-        v = next(v for v in self.values if gp.offends(abs(v - limit), eps))
-        return dict(verdict=Verdict(
-            NOT_IN, f"recurring value {v} stays >= eps from the limit"))
-
-
-TailModel = Union[ConvergentTail, BlockTail, RecurringTail]
+TailModel = Union[ConvergentTail, BlockTail]
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,11 +572,30 @@ class SequenceScenario:
             self.classes_cache[key] = cached
         return cached
 
-    def tail_hits(self, c: float, n_max: int) -> bool:
-        """Can x_n == c for some n beyond the window?  Conservative (True
-        when uncertain); used to rule zero separations in or out."""
-        model = self.tail_model
-        return model is None or model.tail_hits(self, c, n_max)
+    def class_verdicts(self, gp: GapProfile, ideal: IdealDescriptor,
+                       eps: float, n_max: int) -> tuple:
+        """The verdict of each class of ``center_classes`` under the ideal:
+        the decision every offence tail of the class gives, else Unknown.
+        Cached with the split, since the definition and E_k forms read the
+        same verdicts.  Membership reads only a tail's kind, so each
+        distinct tuple of kinds is decided once."""
+        key = (gp, eps, n_max, ideal.kind)
+        cached = self.classes_cache.get(key)
+        if cached is None:
+            by_kinds = {}
+            verdicts = []
+            for cls in self.center_classes(gp, eps, n_max).classes:
+                kinds = tuple([tail.kind for tail in cls.tails])
+                v = by_kinds.get(kinds)
+                if v is None:
+                    vs = [tail_membership(ideal, tail) for tail in cls.tails]
+                    v = by_kinds[kinds] = (
+                        vs[0] if vs and all(w.decision is vs[0].decision
+                                            for w in vs)
+                        else Verdict(UNKNOWN, "center class undecided"))
+                verdicts.append(v)
+            cached = self.classes_cache[key] = tuple(verdicts)
+        return cached
 
     def offenders(self, gp: GapProfile, c: float, eps: float,
                   n_max: int) -> np.ndarray:
@@ -707,6 +669,7 @@ def make_block_harmonic() -> SequenceScenario:
             limit=0.0,
             envelope=lambda j: 1.0 / j,
             value_interval=lambda j: (0.0, 1.0 / (j + 1)),
+            injective=True,
         ),
         point_bounds=(0.0, 1.0),
         injective=False,
@@ -728,11 +691,22 @@ def make_constant(value: float) -> SequenceScenario:
     )
 
 
+def _alternating_value(j):
+    """-1 on block 1 (the odd n), 1 beyond; an int or an int64 array."""
+    if np.ndim(j):
+        return np.where(np.asarray(j) == 1, -1.0, 1.0)
+    return -1.0 if j == 1 else 1.0
+
+
 def make_alternating() -> SequenceScenario:
     return SequenceScenario(
         name="alternating",
         generator=lambda n: 1.0 - 2.0 * (n % 2),
-        tail_model=RecurringTail(values=(-1.0, 1.0)),
+        tail_model=BlockTail(
+            value=_alternating_value,
+            limit=1.0,
+            envelope=lambda j: 2.0 if j == 1 else 0.0,
+        ),
         point_bounds=(-1.0, 1.0),
         injective=False,
         nominal_limit=None,

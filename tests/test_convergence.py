@@ -35,6 +35,7 @@ from cstarseq.ideals import (
     IdealDescriptor,
     SetDescription,
     TailKind,
+    block_index,
     block_union,
     filter_membership,
 )
@@ -50,6 +51,7 @@ from cstarseq.reporting import RunConfig, run
 from cstarseq.sequences import (
     BlockTail,
     SequenceScenario,
+    _least_below,
     make_alternating,
     make_block_harmonic,
     make_constant,
@@ -250,11 +252,30 @@ class TestICauchyPair:
         assert len(calls) <= 2 * (400001).bit_length() + 2
 
     def test_block_cut_search_guard(self):
-        # An envelope that never drops below eps / (2 * scale) has no cut.
+        # An envelope that never drops below eps / (2 * scale) has no cut:
+        # the pair cell is Unknown instead of aborting the report.
         s = _block_harmonic_with_envelope(lambda j: 1.0)
         m = make_scaled_function_metric(default_function_f(2.0, 64))
+        b = i_cauchy_pair_verdict(s, m, BLK, 0.1, 256)
+        assert b.decision is Decision.UNKNOWN
+
+    def test_least_below_cap(self):
+        assert _least_below(lambda j: 1.0 / j, 0.1, 2 ** 53) == 11
+        # The least j with 1/j < 1e-3 is 1001: a cap below it raises.
+        assert _least_below(lambda j: 1.0 / j, 1e-3, 1001) == 1001
         with pytest.raises(DomainError):
-            i_cauchy_pair_verdict(s, m, BLK, 0.1, 256)
+            _least_below(lambda j: 1.0 / j, 1e-3, 1000)
+        with pytest.raises(DomainError):
+            _least_below(lambda j: 1.0, 0.5, 2 ** 53)
+
+    def test_cut_beyond_2_53_is_one_unknown_cell(self):
+        # At eps 1e-17 the cut 1/J < eps / 4 lies near 4e17 > 2^53.
+        report = run(RunConfig(scenario="block-harmonic", metric="scaled",
+                               ideal="block", eps_list=(1e-17,), window=16))
+        cells = {c["question"]: c["decision"]
+                 for c in report.to_json()["cells"]}
+        assert cells["i_cauchy_pair"] == "unknown"
+        assert report.exit_code == 0
 
     @pytest.mark.parametrize("metric", ["diag", "scaled"])
     def test_pair_cut_target_underflow_falls_through(self, metric):
@@ -337,6 +358,29 @@ def _block_harmonic_with_envelope(envelope) -> SequenceScenario:
     )
 
 
+def _eventually_constant_blocks(table, limit) -> SequenceScenario:
+    """x_n = table[j - 1] on Delta_j for the listed blocks j, the limit on
+    every later block; built only from the public tail-model API."""
+    vals = np.array(list(table) + [limit])
+
+    def value(j):
+        out = vals[np.minimum(np.asarray(j), len(table) + 1) - 1]
+        return out if np.ndim(j) else float(out)
+
+    return SequenceScenario(
+        name="eventually-constant-blocks",
+        generator=lambda n: value(block_index(n)),
+        tail_model=BlockTail(
+            value=value, limit=limit,
+            envelope=lambda j: max((abs(v - limit) for v in table[j - 1:]),
+                                   default=0.0),
+        ),
+        point_bounds=(float(vals.min()), float(vals.max())),
+        injective=False,
+        nominal_limit=limit,
+    )
+
+
 class TestICauchyEk:
     def test_agrees_with_definition_on_harmonic(self):
         m = make_diag_metric(0.5)
@@ -383,6 +427,24 @@ class TestCrossCheck:
                     rep = cauchy_criteria_cross_check(
                         s, m, ideal, self.GRID_EPS, 1024)
                     assert rep["consistent"], rep["conflicts"]
+
+    @pytest.mark.parametrize("table, limit", [
+        ([0.0], 1.0),                      # 0 on Delta_1, 1 elsewhere
+        ([0.5, 0.5, 0.5], 0.0),            # 0.5 on blocks 1-3, 0 beyond
+        ([1.0 / j for j in range(1, 81)], 0.0),  # constant past the probe
+    ])
+    @pytest.mark.parametrize("metric", ["discrete", "reciprocal"])
+    def test_repeated_block_values_keep_the_pair_form_sound(self, table,
+                                                            limit, metric):
+        # Block values that are eventually constant are I-Cauchy for the
+        # block ideal: D = the blocks before the constant part is in it.
+        # Their repeated values must not trigger the distinct-value floor.
+        s = _eventually_constant_blocks(table, limit)
+        rep = cauchy_criteria_cross_check(
+            s, metric_by_name(metric), BLK, (0.3, 0.1, 0.01, 1e-3), 4096)
+        assert rep["consistent"], rep["conflicts"]
+        for cell in rep["cells"]:
+            assert Decision.NOT_IN.value not in cell["decisions"].values()
 
 
 class TestIStar:

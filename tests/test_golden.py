@@ -26,7 +26,7 @@ AUDIT_8192_SHA256 = (
     "5ae98123abd03bc538ac17c63d767cea43eb3f9372914b985edefdd84ffe7f90"
 )
 RUN_GRID_4096_SHA256 = (
-    "924f85e140be87a1fd9db054c911ac32c4f1cc9a1749384f36ead9cc524356d5"
+    "19cf31953a9f7a831456ba07edd2cbe7bf4c5c77c4dab0bd01e40565b08bbfc9"
 )
 
 

@@ -21,7 +21,7 @@ import cstarseq
 PACKAGE = Path(cstarseq.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
-TAIL_MODELS = {"ConvergentTail", "BlockTail", "RecurringTail"}
+TAIL_MODELS = {"ConvergentTail", "BlockTail"}
 
 
 def _tree(path: Path) -> ast.Module:

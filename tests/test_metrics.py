@@ -84,8 +84,8 @@ class TestGapProfile:
     def test_linear(self):
         gp = GapProfile(GapKind.LINEAR, 2.0)
         assert gp.norm_of_gap(0.3) == pytest.approx(0.6)
-        assert gp.offends(0.05, 0.1)
-        assert not gp.offends(0.049, 0.1)
+        assert gp.norm_of_gap(0.05) >= 0.1
+        assert not gp.norm_of_gap(0.049) >= 0.1
 
     def test_reciprocal(self):
         gp = GapProfile(GapKind.RECIPROCAL, 2.0)
@@ -124,7 +124,7 @@ class TestGapProfile:
             gaps = [g for g in gaps if g > 0.0]
             if ghi > 0.0:
                 gaps.append(min(ghi, 1e-9))
-        offenders = [g for g in gaps if gp.offends(g, eps)]
+        offenders = [g for g in gaps if gp.norm_of_gap(g) >= eps]
         if status == ALL:
             assert len(offenders) == len(gaps)
         elif status == NONE:

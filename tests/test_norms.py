@@ -185,20 +185,20 @@ class TestNormConvergence:
     def test_alternating_does_not_converge(self):
         n = make_real_abs_norm()
         b = norm_convergence_verdict(make_alternating(), n, 1.0, 0.5, 256)
-        assert b.decision is Decision.NOT_IN
-
-    def test_recurring_values_are_a_protocol_member(self):
-        # Every tail model lists its certified recurring values; only the
-        # recurring model has any, so a block tail falls to the window.
-        n = make_real_abs_norm()
-        b = norm_convergence_verdict(make_alternating(), n, 1.0, 0.5, 256)
-        assert b.certificate == "value -1.0 recurs with norm >= eps"
-        assert make_harmonic().tail_model.values == ()
-        block = make_block_harmonic()
-        assert block.tail_model.values == ()
-        b = norm_convergence_verdict(block, n, 0.0, 0.1, 256)
         assert (b.decision, b.certificate) == (
-            Decision.UNKNOWN, "no convergent tail model")
+            Decision.NOT_IN, "block 1 recurs with norm >= eps")
+
+    def test_block_harmonic_does_not_converge_to_zero(self):
+        # x_n = 1 on the odd n: block 1 recurs at norm 1 from the limit 0.
+        n = make_real_abs_norm()
+        b = norm_convergence_verdict(make_block_harmonic(), n, 0.0, 0.1, 256)
+        assert (b.decision, b.certificate) == (
+            Decision.NOT_IN, "block 1 recurs with norm >= eps")
+        # No probed block value is 0.6 from 0.5; the far blocks stay
+        # uncertified, so the block rule decides nothing.
+        b = norm_convergence_verdict(make_block_harmonic(), n, 0.5, 0.6, 256)
+        assert (b.decision, b.certificate) == (
+            Decision.UNKNOWN, "window clean but tail uncertified")
 
     def test_eps_must_be_positive(self):
         with pytest.raises(DomainError):

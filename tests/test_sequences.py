@@ -23,7 +23,6 @@ from cstarseq.sequences import (
     BlockTail,
     CenterClass,
     ConvergentTail,
-    RecurringTail,
     SequenceScenario,
     make_alternating,
     make_block_harmonic,
@@ -109,15 +108,27 @@ class TestTailModels:
 
     def test_tail_hits_harmonic(self):
         s = make_harmonic()
-        assert s.tail_hits(1.0 / 300, 200)        # 1/300 lies beyond n=200
-        assert not s.tail_hits(1.0 / 100, 200)    # already inside the window
-        assert not s.tail_hits(0.123, 200)        # never attained
-        assert not s.tail_hits(0.0, 200)          # limit never attained
+        hits = s.tail_model.tail_hits
+        assert hits(s, 1.0 / 300, 200)        # 1/300 lies beyond n=200
+        assert not hits(s, 1.0 / 100, 200)    # already inside the window
+        assert not hits(s, 0.123, 200)        # never attained
+        assert not hits(s, 0.0, 200)          # limit never attained
 
-    def test_tail_hits_recurring(self):
+    def test_alternating_is_a_block_sequence(self):
+        # x_n = -1 exactly on Delta_1 (the odd n) and 1 on every other block.
         s = make_alternating()
-        assert s.tail_hits(1.0, 50)
-        assert not s.tail_hits(0.5, 50)
+        model = s.tail_model
+        assert isinstance(model, BlockTail) and not model.injective
+        assert (model.limit, s.nominal_limit) == (1.0, None)
+        js = np.arange(1, 70)
+        assert model.value(js).tolist() == [model.value(int(j)) for j in js]
+        assert [model.value(j) for j in (1, 2, 3, 64)] == [-1.0, 1.0, 1.0, 1.0]
+        n = np.arange(1, 4097)
+        assert s.points(4096).tolist() == model.value(block_index(n)).tolist()
+        for j in range(1, 70):
+            assert abs(model.value(j) - model.limit) <= model.envelope(j)
+        assert model.value_interval(0) == (-1.0, 3.0)
+        assert model.value_interval(1) == model.value_interval(64) == (1.0, 1.0)
 
 
 def _even_zero_value(j):
@@ -142,7 +153,8 @@ def make_even_zero_blocks() -> SequenceScenario:
 
 
 BLOCK_SCENARIOS = {"block-harmonic": make_block_harmonic,
-                   "even-zero-blocks": make_even_zero_blocks}
+                   "even-zero-blocks": make_even_zero_blocks,
+                   "alternating": make_alternating}
 
 
 @st.composite
@@ -270,7 +282,7 @@ class TestCenterClassCache:
 
     def test_audit_makes_one_split_per_key(self, monkeypatch):
         keys = []
-        for model in (ConvergentTail, BlockTail, RecurringTail):
+        for model in (ConvergentTail, BlockTail):
             def counted(self, s, gp, eps, n_max, _split=model.center_classes):
                 keys.append((id(s), gp, eps, n_max))
                 return _split(self, s, gp, eps, n_max)
@@ -314,7 +326,7 @@ class TestRegistry:
         assert scenario_by_name("block-harmonic").name == "block-harmonic"
         assert scenario_by_name("constant:1.5").generator(3) == 1.5
         assert isinstance(scenario_by_name("alternating").tail_model,
-                          RecurringTail)
+                          BlockTail)
 
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
