@@ -13,13 +13,17 @@ eigensolver applied to the Hermitian part.
 
 Norms, self-adjointness and positivity are each one rule over a stack of
 entries (axis 0 = element), so a batch of k elements costs one LAPACK call
-per step; the element predicates run the same rule on a stack of one.
+per step.  An element is immutable, so its tolerance-free facts (||a||,
+||a - a*|| and the Hermitian eigenvalues) are solved once and cached on it;
+the element predicates and the stack rules share one pair of tolerance
+comparisons, so a tolerance never enters the cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -96,7 +100,11 @@ def function_algebra(grid_size: int) -> AlgebraDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """An element of a concrete C*-algebra; immutable after construction."""
+    """An element of a concrete C*-algebra; immutable after construction.
+
+    Its entries are read-only, and the norm, the deviation ||a - a*|| and
+    the Hermitian eigenvalues are cached on first use: making the entries
+    writable again voids these cached facts."""
 
     descriptor: AlgebraDescriptor
     entries: np.ndarray
@@ -128,6 +136,20 @@ class AlgebraElement:
 
     def __neg__(self) -> "AlgebraElement":
         return _fresh(self.descriptor, -self.entries)
+
+    @cached_property
+    def _norm(self) -> float:
+        return float(op_norms(self.descriptor, self.entries[None])[0])
+
+    @cached_property
+    def _deviation(self) -> float:
+        return float(_deviation_norms(self.descriptor, self.entries[None])[0])
+
+    @cached_property
+    def _hermitian_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the Hermitian part of a matrix element;
+        read only once it is self-adjoint."""
+        return np.linalg.eigvalsh(_hermitian_part(self.descriptor, self.entries))
 
 
 def _checked(descriptor: AlgebraDescriptor, arr: np.ndarray) -> np.ndarray:
@@ -214,7 +236,7 @@ def stack_entries(
 
 def op_norm(a: AlgebraElement) -> float:
     """Operator norm: largest singular value (matrices), sup over samples."""
-    return float(op_norms(a.descriptor, a.entries[None])[0])
+    return a._norm
 
 
 def op_norms(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
@@ -270,6 +292,26 @@ def _hermitian_part(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndar
     return _with_adjoints(descriptor, stack, np.add) / 2.0
 
 
+def _deviation_norms(descriptor: AlgebraDescriptor, stack: np.ndarray) -> np.ndarray:
+    """||a - a*|| for each a of ``stack``.  When every a - a* is exactly zero
+    no norm is solved: the norm of a zero element is exactly 0."""
+    deviations = _with_adjoints(descriptor, stack, np.subtract)
+    if not deviations.any():
+        return np.zeros(len(stack))
+    return op_norms(descriptor, deviations)
+
+
+def _self_adjoint_test(deviation, norm, tol: ToleranceProfile):
+    """||a - a*|| <= tol * (1 + ||a||), on floats or on arrays of them."""
+    return deviation <= tol.self_adjoint_tol * (1.0 + norm)
+
+
+def _positive_test(lowest, norm, tol: ToleranceProfile):
+    """A self-adjoint a is positive iff its lowest spectral value is
+    >= -tol * (1 + ||a||); on floats or on arrays of them."""
+    return lowest >= -tol.positivity_tol * (1.0 + norm)
+
+
 def self_adjoint_rule(
     descriptor: AlgebraDescriptor, stack: np.ndarray,
     tol: ToleranceProfile = DEFAULT_TOL,
@@ -283,10 +325,9 @@ def self_adjoint_rule(
             f"stack shape {stack.shape} does not hold elements of shape "
             f"{descriptor.shape}"
         )
-    deviations = _with_adjoints(descriptor, stack, np.subtract)
+    deviations = _deviation_norms(descriptor, stack)
     norms = op_norms(descriptor, stack)
-    return (op_norms(descriptor, deviations)
-            <= tol.self_adjoint_tol * (1.0 + norms)), norms
+    return _self_adjoint_test(deviations, norms, tol), norms
 
 
 def positivity_rule(
@@ -305,11 +346,11 @@ def positivity_rule(
         lowest = np.full(len(stack), -np.inf)
         lowest[self_adjoint] = np.linalg.eigvalsh(
             _hermitian_part(descriptor, stack[self_adjoint]))[:, 0]
-    return self_adjoint & (lowest >= -tol.positivity_tol * (1.0 + norms)), norms
+    return self_adjoint & _positive_test(lowest, norms, tol), norms
 
 
 def is_self_adjoint(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    return bool(self_adjoint_rule(a.descriptor, a.entries[None], tol)[0][0])
+    return bool(_self_adjoint_test(a._deviation, a._norm, tol))
 
 
 def spectrum(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum:
@@ -323,15 +364,18 @@ def spectrum(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> Spectrum
     if a.descriptor.kind == FUNCTION:
         return _sorted_spec(a.entries, tol)
     if is_self_adjoint(a, tol):
-        return _sorted_spec(
-            np.linalg.eigvalsh(_hermitian_part(a.descriptor, a.entries)), tol)
+        return _sorted_spec(a._hermitian_eigenvalues, tol)
     # Non-self-adjoint spectra are only needed incidentally.
     return _sorted_spec(np.linalg.eigvals(a.entries), tol)
 
 
 def is_positive(a: AlgebraElement, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff ``a`` is self-adjoint and its spectrum sits in [0, inf)."""
-    return bool(positivity_rule(a.descriptor, a.entries[None], tol)[0][0])
+    if not is_self_adjoint(a, tol):
+        return False
+    lowest = (a.entries.real.min() if a.descriptor.kind == FUNCTION
+              else a._hermitian_eigenvalues[0])
+    return bool(_positive_test(lowest, a._norm, tol))
 
 
 def precedes(

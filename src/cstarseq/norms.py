@@ -310,29 +310,35 @@ def norm_convergence_verdict(
 ) -> NormConvergenceBundle:
     """Classical norm convergence: the smallest n0 with
     || ||x_n - limit||_A || < eps for every n >= n0, certified through the
-    scenario's tail interval.  A block tail has no such interval; a block
-    value with norm >= eps recurs, which decides NotIn."""
+    scenario's tail interval.  For a block tail every block is infinite, so
+    a block value with norm >= eps recurs, which decides NotIn; otherwise
+    the blocks beyond the probe depth are certified through the tail's
+    value interval, and n0 = 1."""
     if not (eps > 0.0):
         raise DomainError("eps must be positive")
     model = s.tail_model
     slope = op_norm(nrm.eval(1.0))
     if model is not None and model.blockwise:
-        # Every block is infinite, so a block value off by eps recurs.
-        js = np.arange(1, probe_depth(n_max) + 1)
+        jprobe = probe_depth(n_max)
+        js = np.arange(1, jprobe + 1)
         far = np.flatnonzero(slope * np.abs(model.value(js) - limit) >= eps)
         if far.size:
             return NormConvergenceBundle(
                 eps, NOT_IN, f"block {far[0] + 1} recurs with norm >= eps",
             )
-    norms = slope * np.abs(s.points(n_max) - limit)
-    if model is None or model.blockwise:
-        return NormConvergenceBundle(
-            eps, Decision.UNKNOWN,
-            "no convergent tail model" if np.any(norms >= eps)
-            else "window clean but tail uncertified",
-        )
-    offending = np.nonzero(norms >= eps)[0]
-    lo, hi = model.interval(n_max)
+        # The probed blocks hold every window point, and none offends.
+        offending = far
+        lo, hi = model.value_interval(jprobe)
+    else:
+        norms = slope * np.abs(s.points(n_max) - limit)
+        offending = np.nonzero(norms >= eps)[0]
+        if model is None:
+            return NormConvergenceBundle(
+                eps, Decision.UNKNOWN,
+                "no convergent tail model" if offending.size
+                else "window clean but tail uncertified",
+            )
+        lo, hi = model.interval(n_max)
     tail_worst = slope * max(abs(lo - limit), abs(hi - limit))
     if tail_worst >= eps:
         return NormConvergenceBundle(

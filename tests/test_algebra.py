@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from cstarseq.algebra import (
     DEFAULT_TOL,
     AlgebraElement,
+    ToleranceProfile,
     function_algebra,
     function_element,
     involution,
@@ -584,3 +586,89 @@ class TestStackedRule:
     def test_wrong_shape_rejected(self):
         with pytest.raises(StructuralError):
             positivity_rule(matrix_algebra(2), np.zeros((1, 3, 3), complex))
+
+
+# ---------------------------------------------------------------------------
+# Cached element facts: one spectral solve per element, no tolerance cached.
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of np.linalg.svd and np.linalg.eigvalsh calls."""
+    calls = {"svd": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _integer_m3(rng):
+    """A complex M3 element with integer entries: its products and sums are
+    exact, so a*a and its sums and differences are exactly Hermitian."""
+    return matrix_element(rng.integers(-4, 5, (3, 3))
+                          + 1j * rng.integers(-4, 5, (3, 3)), "complex")
+
+
+class TestElementCache:
+    def test_one_order_row_solves_each_element_once(self, lapack_calls):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            a, b = _integer_m3(rng), _integer_m3(rng)
+            aa = involution(a) @ a
+            total = aa + involution(b) @ b
+            below = -aa - a.descriptor.identity()
+            before = dict(lapack_calls)
+            for x in (a, aa, total):
+                op_norm(x)
+            spectrum(aa)
+            assert is_positive(aa) and not is_positive(below)
+            assert precedes(aa, total)
+            # ||a||, ||a*a||, ||a*a + b*b||, ||below||, ||b*b||; one
+            # Hermitian solve each for a*a, below and b*b.
+            assert lapack_calls["svd"] - before["svd"] <= 5
+            assert lapack_calls["eigvalsh"] - before["eigvalsh"] <= 3
+
+    def test_norm_spectrum_and_positivity_share_one_solve(self, lapack_calls):
+        rng = np.random.default_rng(13)
+        a = _integer_m3(rng)
+        aa = involution(a) @ a
+        before = dict(lapack_calls)
+        op_norm(aa)
+        spectrum(aa)
+        assert is_positive(aa)
+        assert lapack_calls["svd"] - before["svd"] == 1
+        assert lapack_calls["eigvalsh"] - before["eigvalsh"] == 1
+
+    def test_tolerances_never_enter_the_cache(self):
+        # ||a - a*|| = 2e-8 (1 + ||p||) and a lowest eigenvalue of -1e-8 sit
+        # between the two profiles' tolerances.
+        tight = ToleranceProfile(self_adjoint_tol=1e-12, positivity_tol=1e-12)
+        loose = ToleranceProfile(self_adjoint_tol=1e-6, positivity_tol=1e-6)
+        p = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        k = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        entries = [p + 1e-8 * (1.0 + 3.0) * k, np.diag([1.0, -1e-8, 2.0])]
+        predicates = (is_self_adjoint, is_positive, spectrum)
+        for m in entries:
+            fresh = [[f(matrix_element(m), tol) for f in predicates]
+                     for tol in (tight, loose)]
+            assert fresh[0][:2] != fresh[1][:2]
+            for order in permutations(predicates):
+                for tols in ((tight, loose), (loose, tight)):
+                    a = matrix_element(m)
+                    for tol in tols:
+                        for f in order:
+                            want = fresh[tol is loose][predicates.index(f)]
+                            assert f(a, tol) == want
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_on_every_call(self):
+        # ||a|| = 1e308 and a = a* are cached, but a + a* overflows.
+        a = matrix_element(np.diag([1e308, 1.0]))
+        for _ in range(2):
+            for f in (is_positive, spectrum):
+                with pytest.raises(StructuralError):
+                    f(a)
+            assert is_self_adjoint(a) and op_norm(a) == 1e308

@@ -194,11 +194,17 @@ class TestNormConvergence:
         b = norm_convergence_verdict(make_block_harmonic(), n, 0.0, 0.1, 256)
         assert (b.decision, b.certificate) == (
             Decision.NOT_IN, "block 1 recurs with norm >= eps")
-        # No probed block value is 0.6 from 0.5; the far blocks stay
-        # uncertified, so the block rule decides nothing.
+
+    def test_block_tail_certified_by_value_interval(self):
+        # |1/j - 0.5| <= 0.5 < 0.6 for every j: no probed block offends and
+        # value_interval at the probe depth bounds the far blocks, so n0 = 1.
+        n = make_real_abs_norm()
         b = norm_convergence_verdict(make_block_harmonic(), n, 0.5, 0.6, 256)
+        assert (b.decision, b.witness_index) == (Decision.IN, 1)
+        # At eps 0.4 block 1 (x_n = 1) is 0.5 from the limit and recurs.
+        b = norm_convergence_verdict(make_block_harmonic(), n, 0.5, 0.4, 256)
         assert (b.decision, b.certificate) == (
-            Decision.UNKNOWN, "window clean but tail uncertified")
+            Decision.NOT_IN, "block 1 recurs with norm >= eps")
 
     def test_eps_must_be_positive(self):
         with pytest.raises(DomainError):
