@@ -54,8 +54,6 @@ from .ideals import (
     TailCertificate,
     TailKind,
     Verdict,
-    ap_decompose,
-    ap_lemma_witness,
     block_elements,
     block_index,
     block_members,

@@ -9,10 +9,10 @@ certificate applies.
 
 The engines cover I-convergence, the three equivalent I-Cauchy criteria
 (definition, pair form, E_k form), I*-Cauchy / I*-convergence against an
-explicit filter witness, the AP-based I*-witness construction, and the
-block-partition counterexample and implication audits.  Each engine is one
-body over the tail-model protocol of ``sequences``: it never asks which
-model a scenario carries.
+explicit filter witness, the I*-witness that property (AP) gives Fin and
+density zero, and the block-partition counterexample and implication
+audits.  Each engine is one body over the tail-model protocol of
+``sequences``: it never asks which model a scenario carries.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .ideals import (
     UNKNOWN,
     Verdict,
     _union_tail,
-    ap_lemma_witness,
     block_union,
     filter_membership,
     frozen_mask,
@@ -400,7 +399,7 @@ def i_star_convergence_verdict(
 
 
 # ---------------------------------------------------------------------------
-# AP-based witness construction (I-Cauchy to I*-Cauchy bridge)
+# I*-witness under property (AP) (I-Cauchy to I*-Cauchy bridge)
 
 
 def istar_witness_from_ap(
@@ -410,24 +409,26 @@ def istar_witness_from_ap(
     n_max: int,
     probe_count: int = 10,
 ) -> SetDescription:
-    """Build the I*-Cauchy witness P from the AP lemma: for each k the set
-    B_k = {n : ||d(x_n, x_{m_k})|| < 1/k} lies in the dual filter; P comes
-    out of the lemma with every P \\ B_k finite."""
+    """The I*-Cauchy witness P of the (AP) lemma, once the definition form
+    certifies the sequence I-Cauchy at eps = 1/k for k <= ``probe_count``.
+
+    For each k the set B_k = {n : ||d(x_n, x_{m_k})|| < 1/k} lies in the
+    dual filter, and (AP) gives P in F(I) with every P \\ B_k finite.  Under
+    Fin and density zero only a FINITE tail is certified In, so every
+    A_k = N \\ B_k is finite, (AP) may replace each A_k by the empty set, and
+    P = N."""
     if not ideal.has_ap():
         raise UnsupportedOperationError(
             f"ideal {ideal.name!r} lacks property (AP); no witness construction"
         )
-    b_sets = []
     for k in range(1, probe_count + 1):
-        eps = 1.0 / k
-        bundle = i_cauchy_def_verdict(s, m, ideal, eps, n_max)
+        bundle = i_cauchy_def_verdict(s, m, ideal, 1.0 / k, n_max)
         if bundle.decision is not IN:
             raise PreconditionError(
                 f"sequence is not certified I-Cauchy at eps=1/{k}; "
                 f"got {bundle.decision.value}"
             )
-        b_sets.append(bundle.witness_set.complement())
-    return ap_lemma_witness(ideal, b_sets)
+    return SetDescription.full(n_max)
 
 
 # ---------------------------------------------------------------------------

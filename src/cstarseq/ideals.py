@@ -20,10 +20,11 @@ Certificate semantics (all "up to a finite symmetric difference"):
 * ``BLOCK_BOUNDED(J)``   -- the set equals the union of the blocks in J.
 * ``BLOCK_COBOUNDED(J)`` -- the set equals the union of the blocks *not* in J
   (the complement of a block-bounded set).
-* ``BLOCK_UNBOUNDED``    -- the set meets infinitely many blocks (weaker than
-  cobounded; its complement is not derivable).
-* ``INFINITE``   -- the set is infinite, structure unknown.
 * ``UNKNOWN``    -- no tail information.
+
+The four structured kinds are closed under complement and union, so set
+operations on them stay exact: union is one rule per pair of kinds, and
+intersection is the complement of the union of the complements.
 
 The block list J of ``BLOCK_BOUNDED(J)`` and ``BLOCK_COBOUNDED(J)`` is a
 ``BlockSet``: sorted runs of consecutive blocks, so J = blocks 1..4/eps of
@@ -40,11 +41,11 @@ import operator
 from bisect import bisect_right
 from collections.abc import Set
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, UnsupportedOperationError
+from .errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +228,6 @@ class TailKind(enum.Enum):
     COFINITE = "cofinite"
     BLOCK_BOUNDED = "block_bounded"
     BLOCK_COBOUNDED = "block_cobounded"
-    BLOCK_UNBOUNDED = "block_unbounded"
-    INFINITE = "infinite"
     UNKNOWN = "unknown"
 
 
@@ -258,14 +257,6 @@ class TailCertificate:
         if not js.edges:
             return TailCertificate(TailKind.COFINITE)
         return TailCertificate(TailKind.BLOCK_COBOUNDED, js)
-
-    @staticmethod
-    def block_unbounded() -> "TailCertificate":
-        return TailCertificate(TailKind.BLOCK_UNBOUNDED)
-
-    @staticmethod
-    def infinite() -> "TailCertificate":
-        return TailCertificate(TailKind.INFINITE)
 
     @staticmethod
     def unknown() -> "TailCertificate":
@@ -383,13 +374,7 @@ class SetDescription:
         )
 
     def intersection(self, other: "SetDescription") -> "SetDescription":
-        if self.size != other.size:
-            raise DomainError("window sizes differ")
-        return SetDescription(
-            frozen_mask(self.mask & other.mask),
-            self.size,
-            _intersection_tail(self.tail, other.tail),
-        )
+        return self.complement().union(other.complement()).complement()
 
     def minus(self, other: "SetDescription") -> "SetDescription":
         return self.intersection(other.complement())
@@ -433,30 +418,6 @@ def _union_tail(a: TailCertificate, b: TailCertificate) -> TailCertificate:
     if {ka, kb} == {TailKind.BLOCK_BOUNDED, TailKind.BLOCK_COBOUNDED}:
         bounded, cobounded = (a, b) if ka is TailKind.BLOCK_BOUNDED else (b, a)
         return TailCertificate.block_cobounded(cobounded.blocks - bounded.blocks)
-    if TailKind.UNKNOWN in (ka, kb):
-        return TailCertificate.unknown()
-    # Remaining combinations involve BLOCK_UNBOUNDED or INFINITE: the union
-    # is at least infinite; block-unboundedness survives union.
-    if TailKind.BLOCK_UNBOUNDED in (ka, kb) or TailKind.BLOCK_COBOUNDED in (ka, kb):
-        return TailCertificate.block_unbounded()
-    return TailCertificate.infinite()
-
-
-def _intersection_tail(a: TailCertificate, b: TailCertificate) -> TailCertificate:
-    ka, kb = a.kind, b.kind
-    if TailKind.FINITE in (ka, kb):
-        return TailCertificate.finite()
-    if ka is TailKind.COFINITE:
-        return b
-    if kb is TailKind.COFINITE:
-        return a
-    if ka is kb is TailKind.BLOCK_BOUNDED:
-        return TailCertificate.block_bounded(a.blocks & b.blocks)
-    if ka is kb is TailKind.BLOCK_COBOUNDED:
-        return TailCertificate.block_cobounded(a.blocks | b.blocks)
-    if {ka, kb} == {TailKind.BLOCK_BOUNDED, TailKind.BLOCK_COBOUNDED}:
-        bounded, cobounded = (a, b) if ka is TailKind.BLOCK_BOUNDED else (b, a)
-        return TailCertificate.block_bounded(bounded.blocks - cobounded.blocks)
     return TailCertificate.unknown()
 
 
@@ -502,40 +463,34 @@ class IdealKind(enum.Enum):
     BLOCK = "block"
 
 
-class ApStatus(enum.Enum):
-    HAS_AP = "has_ap"
-    LACKS_AP = "lacks_ap"
-
-
 @dataclass(frozen=True)
 class IdealDescriptor:
     """One of the built-in admissible, nontrivial ideals on N.
 
-    The AP flag is metadata: Fin and DensityZero carry it, the block ideal
-    is marked as lacking it (the counterexample audit demonstrates why).
+    Fin and DensityZero have property (AP); the block ideal lacks it (the
+    counterexample audit demonstrates why).
     """
 
     kind: IdealKind
-    ap: ApStatus
 
     @staticmethod
     def fin() -> "IdealDescriptor":
-        return IdealDescriptor(IdealKind.FIN, ApStatus.HAS_AP)
+        return IdealDescriptor(IdealKind.FIN)
 
     @staticmethod
     def density_zero() -> "IdealDescriptor":
-        return IdealDescriptor(IdealKind.DENSITY_ZERO, ApStatus.HAS_AP)
+        return IdealDescriptor(IdealKind.DENSITY_ZERO)
 
     @staticmethod
     def block() -> "IdealDescriptor":
-        return IdealDescriptor(IdealKind.BLOCK, ApStatus.LACKS_AP)
+        return IdealDescriptor(IdealKind.BLOCK)
 
     @property
     def name(self) -> str:
         return self.kind.value
 
     def has_ap(self) -> bool:
-        return self.ap is ApStatus.HAS_AP
+        return self.kind is not IdealKind.BLOCK
 
 
 # Built-in ideals by configuration name, in listing order.
@@ -557,8 +512,6 @@ _FIN_RULES = {
     TailKind.COFINITE: (NOT_IN, "fin/cofinite: a cofinite member would force N into I"),
     TailKind.BLOCK_BOUNDED: (NOT_IN, "fin/block-bounded: each Delta_j is infinite"),
     TailKind.BLOCK_COBOUNDED: (NOT_IN, "fin/block-cobounded: infinitely many blocks"),
-    TailKind.BLOCK_UNBOUNDED: (NOT_IN, "fin/block-unbounded: the set is infinite"),
-    TailKind.INFINITE: (NOT_IN, "fin/infinite: infinite sets are not in Fin"),
     TailKind.UNKNOWN: (UNKNOWN, "fin/unknown-tail"),
 }
 
@@ -568,9 +521,6 @@ _BLOCK_RULES = {
     TailKind.BLOCK_BOUNDED: (IN, "block/block-bounded: finitely many blocks met"),
     TailKind.BLOCK_COBOUNDED: (NOT_IN, "block/block-cobounded: meets all but "
                                        "finitely many blocks"),
-    TailKind.BLOCK_UNBOUNDED: (NOT_IN, "block/block-unbounded: meets infinitely "
-                                       "many blocks"),
-    TailKind.INFINITE: (UNKNOWN, "block/infinite: block structure unknown"),
     TailKind.UNKNOWN: (UNKNOWN, "block/unknown-tail"),
 }
 
@@ -581,8 +531,6 @@ _DENSITY_RULES = {
                                       "decidable fragment"),
     TailKind.BLOCK_COBOUNDED: (UNKNOWN, "density0/block-cobounded: outside the "
                                         "decidable fragment"),
-    TailKind.BLOCK_UNBOUNDED: (UNKNOWN, "density0/block-unbounded"),
-    TailKind.INFINITE: (UNKNOWN, "density0/infinite"),
     TailKind.UNKNOWN: (UNKNOWN, "density0/unknown-tail"),
 }
 
@@ -607,80 +555,5 @@ def tail_membership(ideal: IdealDescriptor, tail: TailCertificate) -> Verdict:
 
 def filter_membership(ideal: IdealDescriptor, s: SetDescription) -> Verdict:
     """Membership of ``s`` in the dual filter F(I): s in F(I) iff N \\ s in I."""
-    comp = s.complement()
-    if comp.tail.kind is TailKind.UNKNOWN and s.tail.kind is not TailKind.UNKNOWN:
-        return Verdict(UNKNOWN, "filter/complement-tail-underivable")
-    v = membership(ideal, comp)
+    v = membership(ideal, s.complement())
     return Verdict(v.decision, "filter via complement: " + v.certificate)
-
-
-# ---------------------------------------------------------------------------
-# Property (AP) machinery
-
-
-def ap_decompose(
-    ideal: IdealDescriptor, a_sets: Sequence[SetDescription]
-) -> tuple[list[SetDescription], Verdict]:
-    """Replace disjoint ideal sets A_j by B_j with finite symmetric
-    differences and union still in the ideal.
-
-    For the AP ideals implemented here every certified-In input is finite, so
-    the empty-set replacement B_j = {} is always valid: A_j delta B_j = A_j
-    is finite and the union is empty.
-    """
-    if not ideal.has_ap():
-        raise UnsupportedOperationError(
-            f"ideal {ideal.name!r} does not have property (AP)"
-        )
-    seen: set[int] = set()
-    for a in a_sets:
-        if a.window & seen:
-            raise PreconditionError("input windows are not pairwise disjoint")
-        seen |= a.window
-        v = membership(ideal, a)
-        if v.decision is not IN:
-            raise PreconditionError(
-                f"every input must be certified In; got {v.decision.value} "
-                f"({v.certificate})"
-            )
-    size = a_sets[0].size if a_sets else 1
-    b_sets = [SetDescription.empty(a.size) for a in a_sets]
-    union = SetDescription.empty(size)
-    for b in b_sets:
-        union = union.union(b)
-    return b_sets, membership(ideal, union)
-
-
-def ap_lemma_witness(
-    ideal: IdealDescriptor, p_sets: Sequence[SetDescription]
-) -> SetDescription:
-    """Given P_i in F(I) and an AP ideal, produce P in F(I) with every
-    P \\ P_i finite.
-
-    Standard route: A_i = complement of P_i (disjointified), B_i from
-    ap_decompose, P = complement of the union of the B_i.
-    """
-    if not ideal.has_ap():
-        raise UnsupportedOperationError(
-            f"ideal {ideal.name!r} does not have property (AP)"
-        )
-    if not p_sets:
-        raise PreconditionError("need at least one filter set")
-    size = p_sets[0].size
-    for p in p_sets:
-        v = filter_membership(ideal, p)
-        if v.decision is not IN:
-            raise PreconditionError(
-                f"every P_i must be certified in F(I); got {v.decision.value}"
-            )
-    a_sets = [p.complement() for p in p_sets]
-    disjoint: list[SetDescription] = []
-    covered = SetDescription.empty(size)
-    for a in a_sets:
-        disjoint.append(a.minus(covered))
-        covered = covered.union(a)
-    b_sets, _ = ap_decompose(ideal, disjoint)
-    b_union = SetDescription.empty(size)
-    for b in b_sets:
-        b_union = b_union.union(b)
-    return b_union.complement()

@@ -5,6 +5,7 @@ the distance elements independently (LAPACK operator norms, explicit
 formulas derived in the test file) rather than through the gap profiles.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -47,7 +48,13 @@ from cstarseq.metrics import (
     make_scaled_function_metric,
     metric_by_name,
 )
-from cstarseq.reporting import RunConfig, run
+from cstarseq.reporting import (
+    _METRIC_NAMES,
+    _SCENARIO_NAMES,
+    RunConfig,
+    build_metric,
+    run,
+)
 from cstarseq.sequences import (
     BlockTail,
     SequenceScenario,
@@ -56,6 +63,7 @@ from cstarseq.sequences import (
     make_block_harmonic,
     make_constant,
     make_harmonic,
+    scenario_by_name,
 )
 
 FIN = IdealDescriptor.fin()
@@ -506,6 +514,29 @@ class TestApWitnessRoute:
         m = make_reciprocal_function_metric(default_function_f(2.0, 64))
         with pytest.raises(PreconditionError):
             istar_witness_from_ap(HARMONIC, m, FIN, 1024)
+
+    @pytest.mark.parametrize("n_max", [16, 4096])
+    def test_witness_is_n_and_every_a_k_is_finite(self, n_max):
+        """Wherever the witness is built it is all of N: each A_k of the
+        definition form has a finite tail, so P \\ B_k = P & A_k is finite,
+        the property the (AP) lemma asks of P."""
+        built = []
+        for sn, mn, ideal in itertools.product(_SCENARIO_NAMES, _METRIC_NAMES,
+                                               (FIN, D0)):
+            s, m = scenario_by_name(sn), build_metric(mn)
+            try:
+                p = istar_witness_from_ap(s, m, ideal, n_max)
+            except PreconditionError:
+                continue
+            built.append((sn, mn, ideal.name))
+            assert p == SetDescription.full(n_max)
+            for k in range(1, 11):
+                a_k = i_cauchy_def_verdict(s, m, ideal, 1.0 / k,
+                                           n_max).witness_set
+                assert a_k.tail.kind is TailKind.FINITE
+                assert p.minus(a_k.complement()).tail.kind is TailKind.FINITE
+        assert ("harmonic", "diag", "fin") in built
+        assert ("constant:0", "scaled", "density0") in built
 
 
 class TestCounterexampleAudit:

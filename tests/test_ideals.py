@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cstarseq.errors import (
-    DomainError,
-    PreconditionError,
-    UnsupportedOperationError,
-)
+from cstarseq.errors import DomainError
 from cstarseq.ideals import (
     BlockSet,
     Decision,
@@ -21,8 +17,9 @@ from cstarseq.ideals import (
     SetDescription,
     TailCertificate,
     TailKind,
-    ap_decompose,
-    ap_lemma_witness,
+    _BLOCK_RULES,
+    _DENSITY_RULES,
+    _FIN_RULES,
     block_elements,
     block_index,
     block_members,
@@ -154,9 +151,7 @@ class TestCertificates:
             assert cert.complement().complement() == cert
 
     def test_complement_of_weak_kinds_is_unknown(self):
-        assert (TailCertificate.infinite().complement().kind
-                is TailKind.UNKNOWN)
-        assert (TailCertificate.block_unbounded().complement().kind
+        assert (TailCertificate.unknown().complement().kind
                 is TailKind.UNKNOWN)
 
 
@@ -192,17 +187,17 @@ class TestSetAlgebra:
         b = SetDescription(frozenset(wb), 32, tb)
         u = a.union(b)
         i = a.intersection(b)
+        d = a.minus(b)
         assert u.window == wa | wb
         assert i.window == wa & wb
-        # Tail soundness on a concrete stretch well beyond the window; the
-        # join may be weaker than the true set but must not misstate it
-        # when it claims an exact structured kind.
+        assert d.window == wa - wb
+        # The structured kinds are closed under these operations, so each
+        # result is exact: never Unknown, and equal to the true set on a
+        # concrete stretch well beyond the window.
         ca, cb = concrete_tail(ta, 32, 512), concrete_tail(tb, 32, 512)
-        for joined, truth in ((u, ca | cb), (i, ca & cb)):
-            if joined.tail.kind in (TailKind.FINITE, TailKind.COFINITE,
-                                    TailKind.BLOCK_BOUNDED,
-                                    TailKind.BLOCK_COBOUNDED):
-                assert concrete_tail(joined.tail, 32, 512) == truth
+        for joined, truth in ((u, ca | cb), (i, ca & cb), (d, ca - cb)):
+            assert joined.tail.kind is not TailKind.UNKNOWN
+            assert concrete_tail(joined.tail, 32, 512) == truth
 
     @settings(max_examples=80, deadline=None)
     @given(st.sets(st.integers(1, 32)), tail_strategy)
@@ -326,45 +321,12 @@ class TestMembership:
         with pytest.raises(DomainError):
             ideal_by_name("nope")
 
+    def test_rule_tables_cover_every_kind(self):
+        for rules in (_FIN_RULES, _BLOCK_RULES, _DENSITY_RULES):
+            assert set(rules) == set(TailKind)
+        # Under the (AP) ideals only a finite set is certified In, which
+        # is why the (AP) witness is all of N.
+        for rules in (_FIN_RULES, _DENSITY_RULES):
+            assert [k for k, (d, _) in rules.items()
+                    if d is Decision.IN] == [TailKind.FINITE]
 
-class TestApMachinery:
-    def test_ap_decompose_requires_ap(self):
-        with pytest.raises(UnsupportedOperationError):
-            ap_decompose(IdealDescriptor.block(), [])
-
-    def test_ap_decompose_requires_disjoint_in_sets(self):
-        fin = IdealDescriptor.fin()
-        a = SetDescription(frozenset({1, 2}), 16, TailCertificate.finite())
-        b = SetDescription(frozenset({2, 3}), 16, TailCertificate.finite())
-        with pytest.raises(PreconditionError):
-            ap_decompose(fin, [a, b])
-
-    def test_ap_decompose_union_stays_in_ideal(self):
-        fin = IdealDescriptor.fin()
-        a = SetDescription(frozenset({1, 2}), 16, TailCertificate.finite())
-        b = SetDescription(frozenset({5}), 16, TailCertificate.finite())
-        b_sets, union_verdict = ap_decompose(fin, [a, b])
-        assert union_verdict.decision is Decision.IN
-        for orig, repl in zip([a, b], b_sets):
-            # finite symmetric difference within the window
-            assert len(orig.window ^ repl.window) < 16
-
-    def test_ap_lemma_witness_dominates_inputs(self):
-        fin = IdealDescriptor.fin()
-        p_sets = [
-            SetDescription(frozenset({1, 2, 3}), 16,
-                           TailCertificate.finite()).complement(),
-            SetDescription(frozenset({2, 5}), 16,
-                           TailCertificate.finite()).complement(),
-        ]
-        p = ap_lemma_witness(fin, p_sets)
-        assert filter_membership(fin, p).decision is Decision.IN
-        for p_i in p_sets:
-            diff = p.minus(p_i)
-            assert diff.tail.kind is TailKind.FINITE
-
-    def test_ap_lemma_witness_rejects_non_filter_input(self):
-        fin = IdealDescriptor.fin()
-        bad = SetDescription(frozenset({1}), 16, TailCertificate.finite())
-        with pytest.raises(PreconditionError):
-            ap_lemma_witness(fin, [bad])

@@ -68,8 +68,6 @@ def _certificate_holds(tail, offend: np.ndarray) -> bool:
         if kind is TailKind.BLOCK_COBOUNDED:
             listed = ~listed
         return bool(np.array_equal(offend, listed))
-    if kind is TailKind.INFINITE:
-        return bool(offend.any())
     return True  # Unknown promises nothing
 
 
