@@ -127,19 +127,22 @@ def a_epsilon_set(
     eps: float,
     n_max: int,
 ) -> SetDescription:
-    """A(eps) = {n : ||d(x_n, c)|| >= eps}: exact window, certified tail."""
+    """A(eps) = {n : ||d(x_n, c)|| >= eps}: exact window, certified tail.
+
+    Under a gap profile the window is built only when it is read; the tail,
+    which every verdict reads, is certified at once."""
     _require_eps(eps)
     c = _resolve_center(s, center)
     gp = m.gap_profile
     if gp is None:
         mask = np.array([distance_norm(m, float(p), c) >= eps
                          for p in s.points(n_max)], dtype=bool)
-        tail = TailCertificate.unknown()
-    else:
-        mask = s.offenders(gp, c, eps, n_max)
-        tail = (TailCertificate.unknown() if s.tail_model is None
-                else s.tail_model.offence_tail(s, gp, c, eps, n_max))
-    return SetDescription(frozen_mask(mask), n_max, tail)
+        return SetDescription(frozen_mask(mask), n_max,
+                              TailCertificate.unknown())
+    tail = (TailCertificate.unknown() if s.tail_model is None
+            else s.tail_model.offence_tail(s, gp, c, eps, n_max))
+    return SetDescription(lambda: frozen_mask(s.offenders(gp, c, eps, n_max)),
+                          n_max, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +283,8 @@ def i_cauchy_ek_verdict(
     else:
         tail = reduce(_union_tail, (c.beyond for c in failing),
                       TailCertificate.finite())
-    members = split.members([c.key for c in failing if c.key is not None])
-    k_set = SetDescription(members, n_max, tail)
+    keys = [c.key for c in failing if c.key is not None]
+    k_set = SetDescription(lambda: split.members(keys), n_max, tail)
     v = membership(ideal, k_set)
     trace = f"K tail={tail.kind.value}"
     in_window = [c.key for c in undecided if c.beyond.kind is TailKind.FINITE]

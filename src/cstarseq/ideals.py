@@ -10,6 +10,13 @@ Ideal membership is decided three-valued (In / NotIn / Unknown) from the
 certificate alone, so every In/NotIn answer names the rule that justifies
 it and Unknown is the honest fallback when the window cannot decide.
 
+Membership is defined on the set itself; the window is only a finite
+witness of it.  So the window is lazy: a set may be given a zero-argument
+builder of its mask, which runs the first time the mask is read, and the
+set operations and ``block_union`` pass builders.  The tail certificate is
+always built at once, since every verdict reads it.  A run whose report
+reads no window builds none, and its cost does not grow with N.
+
 The dyadic block partition Delta_j = {2^(j-1) (2s - 1) : s >= 1} drives the
 counterexample ideal: sets that meet only finitely many blocks.
 
@@ -281,25 +288,27 @@ class TailCertificate:
 class SetDescription:
     """A subset of N: exact window over [1..size] plus a tail certificate.
 
-    ``window`` is either an iterable of members, each in [1..size], or a bool
-    mask of shape ``(size,)``.  The window is kept as the read-only bool array
-    ``mask``; a writable mask passed in is copied, a read-only one is shared.
-    Instances are immutable values: equal sets compare and hash equal.
+    ``window`` is an iterable of members, each in [1..size]; a bool mask of
+    shape ``(size,)``; or a zero-argument callable that returns such a mask.
+    The window is kept as the read-only bool array ``mask``; a writable mask
+    is copied, a read-only one is shared.  A callable is a builder: it runs
+    the first time ``mask`` is read, at most once, and its checked mask
+    replaces it, so a wrong mask raises ``DomainError`` on that first read.
+    Every reader of the window (``window``, ``==``, ``hash``, ``repr``,
+    ``to_json``, pickling) goes through ``mask``.  The size, the member
+    range and the tail are checked at construction.  Instances are immutable
+    values: equal sets compare and hash equal.
     """
 
-    __slots__ = ("mask", "size", "tail")
+    __slots__ = ("_mask", "size", "tail")
 
     def __init__(self, window, size: int, tail: TailCertificate):
         if size < 1:
             raise DomainError("window size must be >= 1")
-        if isinstance(window, np.ndarray) and window.dtype == bool:
-            if window.shape != (size,):
-                raise DomainError(
-                    f"window mask has shape {window.shape}, not ({size},)"
-                )
+        if callable(window):
             mask = window
-            if mask.flags.writeable:
-                mask = frozen_mask(mask.copy())
+        elif isinstance(window, np.ndarray) and window.dtype == bool:
+            mask = _checked_mask(window, size)
         else:
             try:
                 members = np.fromiter(window, dtype=np.int64)
@@ -315,12 +324,21 @@ class SetDescription:
             mask = np.zeros(size, dtype=bool)
             mask[members - 1] = True
             frozen_mask(mask)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "tail", tail)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SetDescription is immutable; cannot set {name!r}")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The window as a read-only bool array, built on first read."""
+        mask = self._mask
+        if callable(mask):
+            mask = _checked_mask(mask(), self.size)
+            object.__setattr__(self, "_mask", mask)
+        return mask
 
     def __reduce__(self):
         return SetDescription, (self.mask, self.size, self.tail)
@@ -355,20 +373,21 @@ class SetDescription:
     @staticmethod
     def full(size: int) -> "SetDescription":
         return SetDescription(
-            frozen_mask(np.ones(max(size, 0), dtype=bool)), size,
+            lambda: frozen_mask(np.ones(size, dtype=bool)), size,
             TailCertificate.cofinite(),
         )
 
     def complement(self) -> "SetDescription":
         return SetDescription(
-            frozen_mask(~self.mask), self.size, self.tail.complement()
+            lambda: frozen_mask(~self.mask), self.size,
+            self.tail.complement(),
         )
 
     def union(self, other: "SetDescription") -> "SetDescription":
         if self.size != other.size:
             raise DomainError("window sizes differ")
         return SetDescription(
-            frozen_mask(self.mask | other.mask),
+            lambda: frozen_mask(self.mask | other.mask),
             self.size,
             _union_tail(self.tail, other.tail),
         )
@@ -385,6 +404,23 @@ class SetDescription:
             "size": self.size,
             "tail": self.tail.to_json(),
         }
+
+
+def _checked_mask(mask, size: int) -> np.ndarray:
+    """``mask`` as a read-only bool array of shape ``(size,)``: shared when
+    it is read-only already, copied when it is writable."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+        raise DomainError(
+            f"window mask is {getattr(mask, 'dtype', type(mask).__name__)}, "
+            f"not a bool array"
+        )
+    if mask.shape != (size,):
+        raise DomainError(
+            f"window mask has shape {mask.shape}, not ({size},)"
+        )
+    if mask.flags.writeable:
+        mask = frozen_mask(mask.copy())
+    return mask
 
 
 def _mask_edges(masks: np.ndarray) -> tuple:
@@ -430,7 +466,7 @@ def block_union(js: Iterable[int], n_max: int) -> SetDescription:
     tail = TailCertificate.block_bounded(js)
     if tail.blocks and tail.blocks.edges[0] < 1:
         raise DomainError("block indices must be >= 1")
-    return SetDescription(block_mask(tail.blocks, n_max), n_max, tail)
+    return SetDescription(lambda: block_mask(tail.blocks, n_max), n_max, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +590,7 @@ def tail_membership(ideal: IdealDescriptor, tail: TailCertificate) -> Verdict:
 
 
 def filter_membership(ideal: IdealDescriptor, s: SetDescription) -> Verdict:
-    """Membership of ``s`` in the dual filter F(I): s in F(I) iff N \\ s in I."""
-    v = membership(ideal, s.complement())
+    """Membership of ``s`` in the dual filter F(I): s in F(I) iff N \\ s in I,
+    read from the complement of its tail certificate alone."""
+    v = tail_membership(ideal, s.tail.complement())
     return Verdict(v.decision, "filter via complement: " + v.certificate)
