@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -98,6 +97,22 @@ def function_algebra(grid_size: int) -> AlgebraDescriptor:
     return AlgebraDescriptor(kind=FUNCTION, grid_size=grid_size)
 
 
+class _fact:
+    """A fact of an immutable element, computed on first access and stored
+    in the instance ``__dict__``, which later lookups read first: a
+    ``functools.cached_property`` without the lock it takes on Python 3.11.
+    A fact that raises stores nothing."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """An element of a concrete C*-algebra; immutable after construction.
@@ -137,15 +152,15 @@ class AlgebraElement:
     def __neg__(self) -> "AlgebraElement":
         return _fresh(self.descriptor, -self.entries)
 
-    @cached_property
+    @_fact
     def _norm(self) -> float:
         return float(op_norms(self.descriptor, self.entries[None])[0])
 
-    @cached_property
+    @_fact
     def _deviation(self) -> float:
         return float(_deviation_norms(self.descriptor, self.entries[None])[0])
 
-    @cached_property
+    @_fact
     def _hermitian_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the Hermitian part of a matrix element;
         read only once it is self-adjoint."""

@@ -161,10 +161,33 @@ class BlockSet(Set):
     def rows(masks: np.ndarray) -> list:
         """``from_mask`` of each row of a bool matrix, from one difference
         over the whole matrix."""
-        row, col = _mask_edges(masks)
-        edges = (col + 1).tolist()
+        return BlockSet.joined_rows((masks,))
+
+    @staticmethod
+    def joined_rows(chunks: Iterable[np.ndarray]) -> list:
+        """``rows`` of the bool matrix whose columns are the ``chunks``'
+        columns, left to right, each chunk read once.  A run that crosses
+        into the next chunk ends at the very edge where its rest starts;
+        both copies of that edge are dropped, so the runs join."""
+        rows, edges, width = [], [], 0
+        for masks in chunks:
+            row, col = _mask_edges(masks)
+            rows.append(row)
+            edges.append(col + (width + 1))
+            width += masks.shape[-1]
+        row, edge = rows[0], edges[0]
+        if len(rows) > 1:
+            row, edge = np.concatenate(rows), np.concatenate(edges)
+            order = np.argsort(row, kind="stable")
+            row, edge = row[order], edge[order]
+            touch = (row[1:] == row[:-1]) & (edge[1:] == edge[:-1])
+            keep = np.ones(len(row), dtype=bool)
+            keep[1:] &= ~touch
+            keep[:-1] &= ~touch
+            row, edge = row[keep], edge[keep]
+        edge = edge.tolist()
         cuts = np.searchsorted(row, np.arange(len(masks) + 1)).tolist()
-        return [BlockSet._of(tuple(edges[a:b]))
+        return [BlockSet._of(tuple(edge[a:b]))
                 for a, b in zip(cuts, cuts[1:])]
 
     @property

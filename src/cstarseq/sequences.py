@@ -19,6 +19,10 @@ block values themselves.  Scenarios cache ``center_classes`` and the
 classes' verdicts under each ideal, which the definition and E_k forms
 share.
 
+A block tail builds its block lists by walking the probed blocks in chunks
+of about ``WALK_ENTRIES`` offence entries, so a probe as deep as 2^20
+blocks costs memory independent of its depth.
+
 A window's points x_1..x_N are built on demand, by one generator call over
 the index array, and cached on the scenario.  Block scenarios never need
 them for A(eps): ``SequenceScenario.offenders`` decides offence once per
@@ -71,6 +75,9 @@ STATUS_TAIL = {
 # than PROBE_BLOCKS blocks; a zero-separation probe looks PROBE_BLOCKS
 # blocks further.
 PROBE_BLOCKS = 64
+# Probed blocks are walked in chunks of about WALK_ENTRIES offence entries
+# (centers x blocks), so a deep probe's memory does not grow with its depth.
+WALK_ENTRIES = 1 << 14
 
 
 def _around(limit: float, envelope: Callable[[int], float]) -> Callable:
@@ -322,9 +329,10 @@ class BlockTail:
                                _around(self.limit, self.envelope))
 
     def offence_tail(self, s, gp, c, eps, n_max) -> TailCertificate:
-        # Deepen the probe while the far-block interval stays ambiguous;
-        # the interval shrinks toward the limit, so the status stabilizes
-        # unless the gap norm sits exactly on the eps boundary.
+        """Deepen the probe while the far-block interval stays ambiguous;
+        the interval shrinks toward the limit, so the status stabilizes
+        unless the gap norm sits exactly on the eps boundary.  Blocks 1 up
+        to the decided depth are then walked in chunks (``_walk``)."""
         jprobe = probe_depth(n_max)
         while True:
             ahead = np.arange(jprobe + 1, jprobe + PROBE_BLOCKS + 1)
@@ -336,11 +344,8 @@ class BlockTail:
             jprobe *= 2
         if status == MIXED:
             return TailCertificate.unknown()
-        gaps = np.abs(self.value(np.arange(1, jprobe + 1)) - c)
-        offends = gp.norm_of_gaps(gaps) >= eps
-        if status == NONE:
-            return TailCertificate.block_bounded(BlockSet.from_mask(offends))
-        return TailCertificate.block_cobounded(BlockSet.from_mask(~offends))
+        return self._walk(gp, np.array([c]), eps, jprobe,
+                          np.array([status == NONE]))[0]
 
     def pair_status(self, s, gp, cut, eps, center=None) -> str:
         """Over the values of the blocks beyond block ``cut``; each recurs,
@@ -355,10 +360,10 @@ class BlockTail:
         without changing the decision, so the far class carries both
         resolutions of the ambiguity.
 
-        The probed block values are evaluated once.  Every center block's
-        far status comes from one vector status rule over the far-block
-        interval, and its bounded/cobounded block list from one offence
-        matrix ``||d(value(i), value(j))|| >= eps`` over the probed blocks.
+        Every center block's far status comes from one vector status rule
+        over the far-block interval, and its bounded/cobounded block list
+        from one offence walk ``||d(value(i), value(j))|| >= eps`` over the
+        probed blocks.
         The same rule gives every center's status at each deeper depth
         ``offence_tail`` may double to, so the centers still MIXED at the
         probe depth are deepened together.  Each class's tail equals
@@ -407,7 +412,8 @@ class BlockTail:
         1..len(vals), whose gaps to the blocks beyond ``depths[d]`` lie in
         [glo[:, d], ghi[:, d]].  Each center's status is taken at every
         depth at once; its first decided depth is where ``offence_tail``
-        stops doubling, and the probed blocks up to it give its list."""
+        stops doubling, and the probed blocks up to it, walked in chunks
+        for all the centers decided at that depth, give its list."""
         # A zero gap needs the center inside the far interval (glo == 0):
         # only there is it compared with the blocks just beyond the depth,
         # whose values are taken once per depth.
@@ -421,21 +427,29 @@ class BlockTail:
         first = np.where(decided.any(1), decided.argmax(1), -1)
         tails = [TailCertificate.unknown()] * len(vals)
         for d in sorted(set(first[first >= 0].tolist())):
-            probed = vals if d == 0 else self.value(np.arange(1, depths[d] + 1))
-            group = np.flatnonzero(first == d)
-            # Deep groups go in chunks of rows, so that an offence matrix
-            # holds about 2^20 entries at most, as one deep scalar probe does.
-            step = max(1, (1 << 20) // len(probed))
-            for rows in np.split(group, range(step, len(group), step)):
-                offends = gp.norm_of_gaps(
-                    np.abs(vals[rows][:, None] - probed)) >= eps
-                # NONE lists the offending blocks, ALL the others.
-                bounded = codes[rows, d] == STATUSES.index(NONE)
-                listed = BlockSet.rows(offends == bounded[:, None])
-                for i, b, js in zip(rows.tolist(), bounded.tolist(), listed):
-                    tails[i] = (TailCertificate.block_bounded(js) if b
-                                else TailCertificate.block_cobounded(js))
+            rows = np.flatnonzero(first == d)
+            bounded = codes[rows, d] == STATUSES.index(NONE)
+            listed = self._walk(gp, vals[rows], eps, depths[d], bounded)
+            for i, tail in zip(rows.tolist(), listed):
+                tails[i] = tail
         return tails
+
+    def _walk(self, gp, cs, eps, depth, bounded) -> list:
+        """The offence tail of each center in ``cs`` whose far status is
+        decided at ``depth``: NONE (``bounded``) lists the offending blocks
+        among 1..depth, ALL the others.  The blocks are walked in chunks of
+        about WALK_ENTRIES offence entries, and runs join across chunks."""
+        step = max(1, WALK_ENTRIES // len(cs))
+
+        def listed(start):
+            js = np.arange(start + 1, min(start + step, depth) + 1)
+            offends = gp.norm_of_gaps(np.abs(cs[:, None] - self.value(js)))
+            return (offends >= eps) == bounded[:, None]
+
+        return [TailCertificate.block_bounded(js) if b
+                else TailCertificate.block_cobounded(js)
+                for b, js in zip(bounded.tolist(), BlockSet.joined_rows(
+                    map(listed, range(0, depth, step))))]
 
     def _pair_cut(self, gp, eps, n_max) -> Optional[int]:
         """The J whose blocks 1..J the block-ideal pair form tries as D.

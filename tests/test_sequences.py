@@ -2,13 +2,14 @@
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cstarseq import reporting
+from cstarseq import reporting, sequences
 from cstarseq.cli import main
 from cstarseq.errors import DomainError
 from cstarseq.ideals import (
@@ -18,8 +19,9 @@ from cstarseq.ideals import (
     block_index,
     block_mask,
 )
-from cstarseq.metrics import METRICS, metric_by_name
+from cstarseq.metrics import MIXED, NONE, METRICS, metric_by_name
 from cstarseq.sequences import (
+    PROBE_BLOCKS,
     BlockTail,
     CenterClass,
     ConvergentTail,
@@ -28,6 +30,7 @@ from cstarseq.sequences import (
     make_block_harmonic,
     make_constant,
     make_harmonic,
+    _status_over,
     probe_depth,
     scenario_by_name,
 )
@@ -206,7 +209,7 @@ class TestBlockCaseSplit:
 
     def test_deep_group_in_chunks_matches_scalar(self):
         # The 32 even blocks stay MIXED until depth 2^16, where they are
-        # decided together and their offence rows go in two chunks.
+        # decided together and their offence walk goes in many chunks.
         s = make_even_zero_blocks()
         gp = metric_by_name("diag").gap_profile
         split = s.tail_model.center_classes(s, gp, 2e-5, 16)
@@ -228,6 +231,117 @@ class TestBlockCaseSplit:
         s.tail_model.center_classes(s, metric_by_name(metric).gap_profile,
                                     eps, 8192)
         assert calls == []
+
+
+def one_shot_offence_tail(model, gp, c, eps, n_max) -> tuple:
+    """``offence_tail`` with blocks 1..depth evaluated in one array: the
+    same probe doubling, then one ``from_mask`` over the whole probe.
+    Returns the certificate and the depth."""
+    jprobe = probe_depth(n_max)
+    while True:
+        ahead = model.value(np.arange(jprobe + 1, jprobe + PROBE_BLOCKS + 1))
+        status = _status_over(gp, *model.value_interval(jprobe), eps,
+                              bool(np.any(ahead == c)), c)
+        if status != MIXED or jprobe >= 1 << 20:
+            break
+        jprobe *= 2
+    if status == MIXED:
+        return TailCertificate.unknown(), jprobe
+    offends = gp.norm_of_gaps(
+        np.abs(model.value(np.arange(1, jprobe + 1)) - c)) >= eps
+    if status == NONE:
+        tail = TailCertificate.block_bounded(BlockSet.from_mask(offends))
+    else:
+        tail = TailCertificate.block_cobounded(BlockSet.from_mask(~offends))
+    return tail, jprobe
+
+
+class TestChunkedWalk:
+    """Block probes are walked in chunks; the chunk edges change nothing."""
+
+    @pytest.mark.parametrize("scenario", sorted(BLOCK_SCENARIOS))
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_chunk_edges_change_no_certificate(self, scenario, metric, data):
+        s = BLOCK_SCENARIOS[scenario]()
+        model = s.tail_model
+        gp = metric_by_name(metric).gap_profile
+        eps = data.draw(boundary_eps(gp.scale))
+        entries = data.draw(st.sampled_from([1, 3, 7, 64]))
+        j = data.draw(st.integers(0, 70))  # 0 stands for the limit
+        c = model.limit if j == 0 else float(model.value(j))
+        want, depth = one_shot_offence_tail(model, gp, c, eps, 16)
+        window = [one_shot_offence_tail(model, gp, float(model.value(k)),
+                                        eps, 16) for k in range(1, 65)]
+        # A walk of one-entry chunks costs a numpy round per block; an
+        # Unknown tail walks none.
+        assume(max([d for tail, d in window + [(want, depth)]
+                    if tail.kind is not TailKind.UNKNOWN], default=0) <= 1024)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "WALK_ENTRIES", entries)
+            got = model.offence_tail(s, gp, c, eps, 16)
+            split = model.center_classes(s, gp, eps, 16)
+        assert got == want
+        assert [cls.tails for cls in split.classes[:-1]] == [
+            (tail,) for tail, _ in window]
+        assert split.classes == model.center_classes(s, gp, eps, 16).classes
+
+    @pytest.mark.parametrize("entries", [1, 3, 7, 64])
+    def test_runs_join_across_chunk_edges(self, monkeypatch, entries):
+        # Each listed run is longer than a chunk of one center's walk, in
+        # both branches: NONE lists the offending blocks, ALL the others.
+        cases = [
+            ("block-harmonic", "diag", 0.0, 0.01,
+             TailKind.BLOCK_BOUNDED, [[1, 100]]),
+            ("block-harmonic", "reciprocal", 0.0, 200.0,
+             TailKind.BLOCK_COBOUNDED, [[1, 99]]),
+            ("even-zero-blocks", "scaled", 0.0, 0.05,
+             TailKind.BLOCK_BOUNDED, [[j, j] for j in range(1, 41, 2)]),
+            ("alternating", "discrete", -1.0, 0.5,
+             TailKind.BLOCK_COBOUNDED, [[1, 1]]),
+        ]
+        monkeypatch.setattr(sequences, "WALK_ENTRIES", entries)
+        for scenario, metric, c, eps, kind, runs in cases:
+            s = BLOCK_SCENARIOS[scenario]()
+            gp = metric_by_name(metric).gap_profile
+            got = s.tail_model.offence_tail(s, gp, c, eps, 4096)
+            assert (got.kind, got.blocks.runs) == (kind, runs)
+            assert got == one_shot_offence_tail(s.tail_model, gp, c, eps,
+                                                4096)[0]
+
+    def test_audit_and_wide_runs_walk_one_chunk(self, monkeypatch):
+        # Shallow probes cost what one offence matrix costs: no join.
+        chunks = []
+        joined = BlockSet.joined_rows
+
+        def counted(parts):
+            parts = list(parts)
+            chunks.append(len(parts))
+            return joined(parts)
+
+        monkeypatch.setattr(BlockSet, "joined_rows", staticmethod(counted))
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["audit-paper", "--json", "--window", "8192"])
+            main(["run", "--scenario", "block-harmonic", "--metric", "scaled",
+                  "--ideal", "block", "--eps", "0.1", "--eps", "0.01",
+                  "--window", str(1 << 20)])
+        assert chunks and set(chunks) == {1}
+
+    @pytest.mark.parametrize("eps, end", [(1e-5, 200_000), (2.5e-6, 800_000)])
+    def test_deep_probe_memory_is_flat(self, eps, end):
+        # One array over every probed block peaked at 4.3 MB and 17 MB here.
+        s = make_block_harmonic()
+        gp = metric_by_name("scaled").gap_profile
+        tracemalloc.start()
+        try:
+            tail = s.tail_model.offence_tail(s, gp, 0.0, eps, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tail.kind is TailKind.BLOCK_BOUNDED
+        assert tail.blocks.runs == [[1, end]]
+        assert peak < 1 << 20
 
 
 class TestBlockOffenders:
