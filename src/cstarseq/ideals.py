@@ -13,9 +13,11 @@ it and Unknown is the honest fallback when the window cannot decide.
 Membership is defined on the set itself; the window is only a finite
 witness of it.  So the window is lazy: a set may be given a zero-argument
 builder of its mask, which runs the first time the mask is read, and the
-set operations and ``block_union`` pass builders.  The tail certificate is
-always built at once, since every verdict reads it.  A run whose report
-reads no window builds none, and its cost does not grow with N.
+set operations and ``block_union`` pass builders.  A run whose report
+reads no window builds none, and its cost does not grow with N.  A tail
+certificate's kind is decided at once, since every verdict reads it, but
+its block list may likewise be given as a builder, run the first time the
+list is read: membership reads only the kind, so a verdict builds no list.
 
 The dyadic block partition Delta_j = {2^(j-1) (2s - 1) : s >= 1} drives the
 counterexample ideal: sets that meet only finitely many blocks.
@@ -164,12 +166,13 @@ class BlockSet(Set):
         return BlockSet.joined_rows((masks,))
 
     @staticmethod
-    def joined_rows(chunks: Iterable[np.ndarray]) -> list:
-        """``rows`` of the bool matrix whose columns are the ``chunks``'
-        columns, left to right, each chunk read once.  A run that crosses
-        into the next chunk ends at the very edge where its rest starts;
-        both copies of that edge are dropped, so the runs join."""
-        rows, edges, width = [], [], 0
+    def joined_rows(chunks: Iterable[np.ndarray], start: int = 0) -> list:
+        """``rows`` of the bool matrix whose columns are ``start`` unset
+        columns, then the ``chunks``' columns, left to right, each chunk
+        read once.  A run that crosses into the next chunk ends at the very
+        edge where its rest starts; both copies of that edge are dropped,
+        so the runs join."""
+        rows, edges, width = [], [], start
         for masks in chunks:
             row, col = _mask_edges(masks)
             rows.append(row)
@@ -261,10 +264,56 @@ class TailKind(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class TailCertificate:
-    kind: TailKind
-    blocks: BlockSet = BlockSet()
+    """What a set is beyond its window: a ``kind`` and, for the two block
+    kinds, the block list J of ``BLOCK_BOUNDED(J)`` or ``BLOCK_COBOUNDED(J)``
+    (empty for the other kinds).
+
+    ``blocks`` is a ``BlockSet``, any iterable of block indices, or a
+    zero-argument builder that returns one.  The kind is decided at
+    construction, since every membership rule reads it; a builder runs the
+    first time ``blocks`` is read, at most once, and its block set
+    replaces it.  Every reader of the list (``blocks``, ``==``, ``hash``,
+    ``repr``, ``to_json``, pickling) goes through ``blocks``.  Only the two
+    block kinds take a builder, and it must list at least one block, as
+    the factories ``block_bounded`` and ``block_cobounded`` turn an empty
+    list into FINITE or COFINITE.  Instances are immutable values: equal
+    certificates compare and hash equal.
+    """
+
+    __slots__ = ("kind", "_blocks")
+
+    def __init__(self, kind: TailKind, blocks=BlockSet()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(
+            self, "_blocks", blocks if callable(blocks) else BlockSet(blocks))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"TailCertificate is immutable; cannot set {name!r}")
+
+    @property
+    def blocks(self) -> BlockSet:
+        """The block list, built on first read."""
+        blocks = self._blocks
+        if type(blocks) is not BlockSet:
+            blocks = BlockSet(blocks())
+            object.__setattr__(self, "_blocks", blocks)
+        return blocks
+
+    def __reduce__(self):
+        return TailCertificate, (self.kind, self.blocks)
+
+    def __eq__(self, other):
+        if not isinstance(other, TailCertificate):
+            return NotImplemented
+        return self.kind is other.kind and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.kind, self.blocks))
+
+    def __repr__(self):
+        return f"TailCertificate(kind={self.kind!r}, blocks={self.blocks!r})"
 
     @staticmethod
     def finite() -> "TailCertificate":
@@ -293,11 +342,18 @@ class TailCertificate:
         return TailCertificate(TailKind.UNKNOWN)
 
     def complement(self) -> "TailCertificate":
+        """The certificate of the complement; that of a certificate whose
+        list is not built yet lists the same blocks on the first read of
+        either."""
         k = self.kind
         if k is TailKind.FINITE:
             return TailCertificate.cofinite()
         if k is TailKind.COFINITE:
             return TailCertificate.finite()
+        if type(self._blocks) is not BlockSet:
+            swapped = (TailKind.BLOCK_COBOUNDED if k is TailKind.BLOCK_BOUNDED
+                       else TailKind.BLOCK_BOUNDED)
+            return TailCertificate(swapped, lambda: self.blocks)
         if k is TailKind.BLOCK_BOUNDED:
             return TailCertificate.block_cobounded(self.blocks)
         if k is TailKind.BLOCK_COBOUNDED:

@@ -19,9 +19,15 @@ block values themselves.  Scenarios cache ``center_classes`` and the
 classes' verdicts under each ideal, which the definition and E_k forms
 share.
 
-A block tail builds its block lists by walking the probed blocks in chunks
-of about ``WALK_ENTRIES`` offence entries, so a probe as deep as 2^20
-blocks costs memory independent of its depth.
+A block tail's certificate is decided by its kind: the far status at the
+decided probe depth, and whether any probed block is listed.  The probed
+blocks are walked in chunks of about ``WALK_ENTRIES`` offence entries only
+until that first listed block, so a run that reads only kinds, as every
+membership rule does, pays for the blocks up to it however deep the probe
+(one chunk, where the first block is listed).  The block
+list is built the first time it is read, by the same walk taken up where
+the scan found its first listed block; its memory stays independent of the
+depth, and its time is still linear in it.
 
 A window's points x_1..x_N are built on demand, by one generator call over
 the index array, and cached on the scenario.  Block scenarios never need
@@ -37,6 +43,8 @@ odd n) and 1 on every other block.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple, Optional, Union
@@ -332,7 +340,8 @@ class BlockTail:
         """Deepen the probe while the far-block interval stays ambiguous;
         the interval shrinks toward the limit, so the status stabilizes
         unless the gap norm sits exactly on the eps boundary.  Blocks 1 up
-        to the decided depth are then walked in chunks (``_walk``)."""
+        to the decided depth are then walked (``_walk``) until the first
+        listed block, which decides the kind; the list is built when read."""
         jprobe = probe_depth(n_max)
         while True:
             ahead = np.arange(jprobe + 1, jprobe + PROBE_BLOCKS + 1)
@@ -412,8 +421,10 @@ class BlockTail:
         1..len(vals), whose gaps to the blocks beyond ``depths[d]`` lie in
         [glo[:, d], ghi[:, d]].  Each center's status is taken at every
         depth at once; its first decided depth is where ``offence_tail``
-        stops doubling, and the probed blocks up to it, walked in chunks
-        for all the centers decided at that depth, give its list."""
+        stops doubling.  The centers decided at one depth share one walk of
+        the probed blocks up to it: it runs until each of them has listed a
+        block, which decides every kind, and one builder lists all their
+        blocks when any of their lists is first read."""
         # A zero gap needs the center inside the far interval (glo == 0):
         # only there is it compared with the blocks just beyond the depth,
         # whose values are taken once per depth.
@@ -438,7 +449,13 @@ class BlockTail:
         """The offence tail of each center in ``cs`` whose far status is
         decided at ``depth``: NONE (``bounded``) lists the offending blocks
         among 1..depth, ALL the others.  The blocks are walked in chunks of
-        about WALK_ENTRIES offence entries, and runs join across chunks."""
+        about WALK_ENTRIES offence entries, but only until every center has
+        listed a block, which decides its kind; a center that lists none is
+        FINITE or COFINITE.  The lists are built when one of them is first
+        read, all by one builder that takes the walk up again at the first
+        chunk where a block was listed (no center lists one before it), so
+        no block value is evaluated twice; a build that raises leaves the
+        next read the same walk.  Runs join across chunks."""
         step = max(1, WALK_ENTRIES // len(cs))
 
         def listed(start):
@@ -446,10 +463,31 @@ class BlockTail:
             offends = gp.norm_of_gaps(np.abs(cs[:, None] - self.value(js)))
             return (offends >= eps) == bounded[:, None]
 
-        return [TailCertificate.block_bounded(js) if b
-                else TailCertificate.block_cobounded(js)
-                for b, js in zip(bounded.tolist(), BlockSet.joined_rows(
-                    map(listed, range(0, depth, step))))]
+        skipped, kept = 0, []
+        hit = np.zeros(len(cs), dtype=bool)
+        for at in range(0, depth, step):
+            chunk = listed(at)
+            rows = chunk.any(1)
+            if not (kept or rows.any()):
+                skipped = at + step
+                continue
+            kept.append(chunk)
+            hit |= rows
+            if hit.all():
+                break
+        rest = range(at + step, depth, step)
+        lists = functools.cache(lambda: BlockSet.joined_rows(
+            itertools.chain(kept, map(listed, rest)), skipped))
+        tails = []
+        for i, (b, h) in enumerate(zip(bounded.tolist(), hit.tolist())):
+            if h:
+                kind = (TailKind.BLOCK_BOUNDED if b
+                        else TailKind.BLOCK_COBOUNDED)
+                tails.append(TailCertificate(kind, lambda i=i: lists()[i]))
+            else:
+                tails.append(TailCertificate.finite() if b
+                             else TailCertificate.cofinite())
+        return tails
 
     def _pair_cut(self, gp, eps, n_max) -> Optional[int]:
         """The J whose blocks 1..J the block-ideal pair form tries as D.

@@ -1,7 +1,9 @@
 """Scenario generators and their tail analytics."""
 
 import contextlib
+import dataclasses
 import io
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,15 +15,21 @@ from cstarseq import reporting, sequences
 from cstarseq.cli import main
 from cstarseq.errors import DomainError
 from cstarseq.ideals import (
+    IDEALS,
     BlockSet,
     TailCertificate,
     TailKind,
+    _union_tail,
     block_index,
     block_mask,
+    ideal_by_name,
+    tail_membership,
 )
-from cstarseq.metrics import MIXED, NONE, METRICS, metric_by_name
+from cstarseq.metrics import MIXED, NONE, METRICS, GapProfile, metric_by_name
+from cstarseq.reporting import MAX_WINDOW
 from cstarseq.sequences import (
     PROBE_BLOCKS,
+    WALK_ENTRIES,
     BlockTail,
     CenterClass,
     ConvergentTail,
@@ -256,6 +264,62 @@ def one_shot_offence_tail(model, gp, c, eps, n_max) -> tuple:
     return tail, jprobe
 
 
+class WalkCensus:
+    """What block walks do while its patches are in place: ``scans``, the
+    chunks each walk evaluates before it returns (one gap-norm call per
+    chunk), ``depths``, each walk's depth, and ``builds``, the block-list
+    builds run.  ``model``, a copy of the given tail model whose ``value``
+    is counted, records in ``entries`` the block indices that its walks and
+    builds evaluate."""
+
+    def __init__(self, mp, model=None):
+        self.scans, self.depths, self.entries, self.builds = [], [], [], 0
+        self.state = None  # "scan" inside a walk, "build" inside a build
+        walk, joined = BlockTail._walk, BlockSet.joined_rows
+        norm_of_gaps = GapProfile.norm_of_gaps
+
+        def walked(tail, gp, cs, eps, depth, bounded):
+            self.scans.append(0)
+            self.depths.append(depth)
+            self.state = "scan"
+            try:
+                return walk(tail, gp, cs, eps, depth, bounded)
+            finally:
+                self.state = None
+
+        def built(chunks, start=0):
+            self.builds += 1
+            self.state = "build"
+            try:
+                return joined(chunks, start)
+            finally:
+                self.state = None
+
+        def norms(gp, gaps):
+            if self.state == "scan":
+                self.scans[-1] += 1
+            return norm_of_gaps(gp, gaps)
+
+        def value(j):
+            if self.state is not None:
+                self.entries.append(np.ravel(j))
+            return model.value(j)
+
+        mp.setattr(BlockTail, "_walk", walked)
+        mp.setattr(BlockSet, "joined_rows", staticmethod(built))
+        mp.setattr(GapProfile, "norm_of_gaps", norms)
+        if model is not None:
+            self.model = dataclasses.replace(model, value=value)
+
+    def walked_each_block_once(self) -> bool:
+        """Do the walks together evaluate blocks 1..depth of each walk,
+        each once?"""
+        got = np.concatenate([np.zeros(0, dtype=np.int64), *self.entries])
+        want = np.concatenate([np.zeros(0, dtype=np.int64),
+                               *map(np.arange, self.depths)]) + 1
+        return np.array_equal(np.sort(got), np.sort(want))
+
+
 class TestChunkedWalk:
     """Block probes are walked in chunks; the chunk edges change nothing."""
 
@@ -264,28 +328,39 @@ class TestChunkedWalk:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_chunk_edges_change_no_certificate(self, scenario, metric, data):
+        # Each certificate's kind is decided before its list is read, and
+        # once read, every walk has evaluated each of its blocks once.
         s = BLOCK_SCENARIOS[scenario]()
         model = s.tail_model
         gp = metric_by_name(metric).gap_profile
         eps = data.draw(boundary_eps(gp.scale))
-        entries = data.draw(st.sampled_from([1, 3, 7, 64]))
+        n_max = data.draw(st.sampled_from([16, 4096, 8192]))
+        entries = data.draw(st.sampled_from([1, 3, 7, 64, WALK_ENTRIES]))
         j = data.draw(st.integers(0, 70))  # 0 stands for the limit
         c = model.limit if j == 0 else float(model.value(j))
-        want, depth = one_shot_offence_tail(model, gp, c, eps, 16)
+        want, depth = one_shot_offence_tail(model, gp, c, eps, n_max)
         window = [one_shot_offence_tail(model, gp, float(model.value(k)),
-                                        eps, 16) for k in range(1, 65)]
+                                        eps, n_max)
+                  for k in range(1, probe_depth(n_max) + 1)]
         # A walk of one-entry chunks costs a numpy round per block; an
         # Unknown tail walks none.
-        assume(max([d for tail, d in window + [(want, depth)]
-                    if tail.kind is not TailKind.UNKNOWN], default=0) <= 1024)
+        assume(entries == WALK_ENTRIES or max(
+            [d for tail, d in window + [(want, depth)]
+             if tail.kind is not TailKind.UNKNOWN], default=0) <= 1024)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sequences, "WALK_ENTRIES", entries)
-            got = model.offence_tail(s, gp, c, eps, 16)
-            split = model.center_classes(s, gp, eps, 16)
-        assert got == want
-        assert [cls.tails for cls in split.classes[:-1]] == [
-            (tail,) for tail, _ in window]
-        assert split.classes == model.center_classes(s, gp, eps, 16).classes
+            census = WalkCensus(mp, model)
+            got = census.model.offence_tail(s, gp, c, eps, n_max)
+            split = census.model.center_classes(s, gp, eps, n_max)
+            tails = [cls.tails for cls in split.classes[:-1]]
+            assert census.builds == 0
+            assert got.kind is want.kind
+            assert [t.kind for (t,) in tails] == [w.kind for w, _ in window]
+            assert got == want
+            assert tails == [(tail,) for tail, _ in window]
+            assert census.walked_each_block_once()
+        assert split.classes == model.center_classes(s, gp, eps,
+                                                     n_max).classes
 
     @pytest.mark.parametrize("entries", [1, 3, 7, 64])
     def test_runs_join_across_chunk_edges(self, monkeypatch, entries):
@@ -311,22 +386,20 @@ class TestChunkedWalk:
                                                 4096)[0]
 
     def test_audit_and_wide_runs_walk_one_chunk(self, monkeypatch):
-        # Shallow probes cost what one offence matrix costs: no join.
-        chunks = []
-        joined = BlockSet.joined_rows
-
-        def counted(parts):
-            parts = list(parts)
-            chunks.append(len(parts))
-            return joined(parts)
-
-        monkeypatch.setattr(BlockSet, "joined_rows", staticmethod(counted))
+        # These runs read only the kinds of their block tails: no list is
+        # built, and every walk's scan stops at its first chunk, however
+        # deep its probe (262 144 blocks at eps 1e-5).
+        census = WalkCensus(monkeypatch)
+        run = ["run", "--scenario", "block-harmonic", "--metric", "scaled",
+               "--ideal", "block"]
         with contextlib.redirect_stdout(io.StringIO()):
             main(["audit-paper", "--json", "--window", "8192"])
-            main(["run", "--scenario", "block-harmonic", "--metric", "scaled",
-                  "--ideal", "block", "--eps", "0.1", "--eps", "0.01",
-                  "--window", str(1 << 20)])
-        assert chunks and set(chunks) == {1}
+            main(run + ["--eps", "0.1", "--eps", "0.01",
+                        "--window", str(MAX_WINDOW)])
+            main(run + ["--eps", "1e-5", "--window", "4096"])
+        assert census.builds == 0
+        assert census.scans and set(census.scans) == {1}
+        assert max(census.depths) == 1 << 18
 
     @pytest.mark.parametrize("eps, end", [(1e-5, 200_000), (2.5e-6, 800_000)])
     def test_deep_probe_memory_is_flat(self, eps, end):
@@ -342,6 +415,126 @@ class TestChunkedWalk:
         assert tail.kind is TailKind.BLOCK_BOUNDED
         assert tail.blocks.runs == [[1, end]]
         assert peak < 1 << 20
+
+
+def counted_builder(blocks):
+    """A builder of the block list ``blocks``, and the list its calls are
+    recorded in."""
+    calls = []
+
+    def build():
+        calls.append(None)
+        return BlockSet(blocks)
+
+    return build, calls
+
+
+block_lists = st.sets(st.integers(1, 40), min_size=1, max_size=8)
+block_kinds = st.sampled_from([TailKind.BLOCK_BOUNDED,
+                               TailKind.BLOCK_COBOUNDED])
+
+
+class TestLazyCertificates:
+    """A tail certificate's kind is decided at once and its block list is
+    built on first read."""
+
+    def test_builder_runs_once_on_first_read(self):
+        build, calls = counted_builder([1, 2, 3, 7])
+        cert = TailCertificate(TailKind.BLOCK_BOUNDED, build)
+        comp = cert.complement()
+        assert (cert.kind, comp.kind) == (TailKind.BLOCK_BOUNDED,
+                                          TailKind.BLOCK_COBOUNDED)
+        for name in IDEALS:
+            tail_membership(ideal_by_name(name), cert)
+            tail_membership(ideal_by_name(name), comp)
+        assert calls == []
+        assert comp.blocks.runs == [[1, 3], [7, 7]]
+        assert cert.blocks is comp.blocks is cert.blocks
+        assert len(calls) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(js=block_lists, kind=block_kinds, other_js=block_lists)
+    def test_lazy_and_eager_certificates_agree(self, js, kind, other_js):
+        eager = TailCertificate(kind, BlockSet(js))
+        swapped = (TailKind.BLOCK_COBOUNDED if kind is TailKind.BLOCK_BOUNDED
+                   else TailKind.BLOCK_BOUNDED)
+
+        def lazy(blocks=js, kind=kind):
+            return TailCertificate(kind, lambda: BlockSet(blocks))
+
+        assert lazy().blocks == eager.blocks
+        assert lazy() == eager and eager == lazy()
+        assert lazy() != lazy(kind=swapped)
+        assert TailCertificate(kind, frozenset(js)) == lazy()
+        assert hash(lazy()) == hash(eager) == hash(
+            TailCertificate(kind, frozenset(js)))
+        assert repr(lazy()) == repr(eager)
+        assert lazy().to_json() == eager.to_json()
+        assert pickle.loads(pickle.dumps(lazy())) == eager
+        build, calls = counted_builder(js)
+        comp = TailCertificate(kind, build).complement()
+        assert calls == [] and comp.kind is swapped
+        assert comp == eager.complement() and comp.complement() == eager
+        others = [TailCertificate.finite(), TailCertificate.cofinite(),
+                  TailCertificate.unknown()]
+        for other_kind in (TailKind.BLOCK_BOUNDED, TailKind.BLOCK_COBOUNDED):
+            others.append(TailCertificate(other_kind, BlockSet(other_js)))
+            others.append(lazy(other_js, other_kind))
+        for other in others:
+            assert _union_tail(lazy(), other) == _union_tail(eager, other)
+            assert _union_tail(other, lazy()) == _union_tail(other, eager)
+
+    def test_class_verdicts_read_no_list(self, monkeypatch):
+        # The 32 even blocks are decided together at depth 2^16.
+        census = WalkCensus(monkeypatch)
+        s = make_even_zero_blocks()
+        gp = metric_by_name("diag").gap_profile
+        for name in IDEALS:
+            s.class_verdicts(gp, ideal_by_name(name), 2e-5, 16)
+        assert census.builds == 0 and max(census.depths) == 1 << 16
+        split = s.center_classes(gp, 2e-5, 16)
+        assert list(split.classes[:-1]) == scalar_window_classes(
+            s, gp, 2e-5, 16)
+
+    @pytest.mark.parametrize("c, eps, kind, runs, scans", [
+        # Block 20000 alone stays within eps of c = 1/20000, decided ALL at
+        # depth 2^15: the first listed block lies in the second chunk.
+        (1 / 20000, 1e-9, TailKind.BLOCK_COBOUNDED, [[20000, 20000]], 2),
+        # No block is listed: the scan covers the probe and the kind is
+        # FINITE (NONE) or COFINITE (ALL).
+        (0.0, 2.0, TailKind.FINITE, [], 1),
+        (5.0, 1.0, TailKind.COFINITE, [], 1),
+    ])
+    def test_first_hit_decides_the_kind(self, monkeypatch, c, eps, kind,
+                                        runs, scans):
+        s = make_block_harmonic()
+        gp = metric_by_name("diag").gap_profile
+        census = WalkCensus(monkeypatch, s.tail_model)
+        tail = census.model.offence_tail(s, gp, c, eps, 4096)
+        assert (tail.kind, census.scans, census.builds) == (kind, [scans], 0)
+        assert tail.blocks.runs == runs
+        assert tail == one_shot_offence_tail(s.tail_model, gp, c, eps,
+                                             4096)[0]
+        assert census.walked_each_block_once()
+
+    def test_failed_build_leaves_the_walk_intact(self, monkeypatch):
+        # A build that raises part-way, as MemoryError can under a cap,
+        # leaves the next read the whole rest of the walk.
+        s = make_block_harmonic()
+        gp = metric_by_name("scaled").gap_profile
+        tail = s.tail_model.offence_tail(s, gp, 0.0, 1e-5, 4096)
+        joined = BlockSet.joined_rows
+
+        def failing(chunks, start=0):
+            for _ in chunks:
+                pass
+            raise MemoryError
+
+        monkeypatch.setattr(BlockSet, "joined_rows", staticmethod(failing))
+        with pytest.raises(MemoryError):
+            tail.blocks
+        monkeypatch.setattr(BlockSet, "joined_rows", staticmethod(joined))
+        assert tail.blocks.runs == [[1, 200_000]]
 
 
 class TestBlockOffenders:
