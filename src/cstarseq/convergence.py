@@ -87,21 +87,6 @@ class VerdictBundle:
     def decision(self) -> Decision:
         return self.verdict.decision
 
-    def to_json(self):
-        out = {
-            "question": self.question.value,
-            "epsilon": self.epsilon,
-            "verdict": self.verdict.to_json(),
-            "trace": self.trace,
-        }
-        if self.witness_set is not None:
-            out["witness_set"] = self.witness_set.to_json()
-        if self.witness_index is not None:
-            out["witness_index"] = self.witness_index
-        if self.cut_index is not None:
-            out["cut_index"] = self.cut_index
-        return out
-
 
 def _require_eps(eps: float):
     if not (eps > 0.0):
@@ -129,18 +114,12 @@ def a_epsilon_set(
 ) -> SetDescription:
     """A(eps) = {n : ||d(x_n, c)|| >= eps}: exact window, certified tail.
 
-    Under a gap profile the window is built only when it is read; the tail,
-    which every verdict reads, is certified at once."""
+    The window is built only when it is read; the tail, which every verdict
+    reads, is certified at once."""
     _require_eps(eps)
     c = _resolve_center(s, center)
     gp = m.gap_profile
-    if gp is None:
-        mask = np.array([distance_norm(m, float(p), c) >= eps
-                         for p in s.points(n_max)], dtype=bool)
-        return SetDescription(frozen_mask(mask), n_max,
-                              TailCertificate.unknown())
-    tail = (TailCertificate.unknown() if s.tail_model is None
-            else s.tail_model.offence_tail(s, gp, c, eps, n_max))
+    tail = s.tail_model.offence_tail(s, gp, c, eps, n_max)
     return SetDescription(lambda: frozen_mask(s.offenders(gp, c, eps, n_max)),
                           n_max, tail)
 
@@ -176,8 +155,7 @@ def i_convergence_verdict(
 def _floor_defeats(s: SequenceScenario, m: CstarMetric, eps: float) -> bool:
     """Do distinct points keep distance >= eps while the sequence, being
     injective, has infinitely many distinct points off any D in I?"""
-    floor = (s.pair_floor(m.gap_profile)
-             if m.gap_profile is not None and s.injective else None)
+    floor = s.pair_floor(m.gap_profile) if s.injective else None
     return floor is not None and floor >= eps
 
 
@@ -190,25 +168,22 @@ def i_cauchy_def_verdict(
 ) -> VerdictBundle:
     """Definition form: some center n0 puts A(eps) into the ideal."""
     _require_eps(eps)
-    unknown = "schedule exhausted without certificate"
-    if m.gap_profile is not None and s.tail_model is not None:
-        split = s.center_classes(m.gap_profile, eps, n_max)
-        verdicts = s.class_verdicts(m.gap_profile, ideal, eps, n_max)
-        for cls, v in zip(split.classes, verdicts):
-            if v.decision is IN and cls.index is not None:
-                a_set = a_epsilon_set(s, m, Index(cls.index), eps, n_max)
-                return VerdictBundle(
-                    Question.ICAUCHY_DEF, eps, Verdict(IN, v.certificate),
-                    witness_set=a_set, witness_index=cls.index,
-                    trace=f"center n0={cls.index}; A(eps) "
-                          f"tail={a_set.tail.kind.value}",
-                )
-        if split.exhaustive and all(v.decision is NOT_IN for v in verdicts):
+    split = s.center_classes(m.gap_profile, eps, n_max)
+    verdicts = s.class_verdicts(m.gap_profile, ideal, eps, n_max)
+    for cls, v in zip(split.classes, verdicts):
+        if v.decision is IN and cls.index is not None:
+            a_set = a_epsilon_set(s, m, Index(cls.index), eps, n_max)
             return VerdictBundle(
-                Question.ICAUCHY_DEF, eps, Verdict(NOT_IN, split.notin),
-                trace="A(eps) not in ideal for every class of centers",
+                Question.ICAUCHY_DEF, eps, Verdict(IN, v.certificate),
+                witness_set=a_set, witness_index=cls.index,
+                trace=f"center n0={cls.index}; A(eps) "
+                      f"tail={a_set.tail.kind.value}",
             )
-        unknown = split.unknown
+    if split.exhaustive and all(v.decision is NOT_IN for v in verdicts):
+        return VerdictBundle(
+            Question.ICAUCHY_DEF, eps, Verdict(NOT_IN, split.notin),
+            trace="A(eps) not in ideal for every class of centers",
+        )
     if _floor_defeats(s, m, eps):
         return VerdictBundle(
             Question.ICAUCHY_DEF, eps,
@@ -218,7 +193,8 @@ def i_cauchy_def_verdict(
                 "cofinite for every center",
             ),
         )
-    return VerdictBundle(Question.ICAUCHY_DEF, eps, Verdict(UNKNOWN, unknown))
+    return VerdictBundle(Question.ICAUCHY_DEF, eps,
+                         Verdict(UNKNOWN, split.unknown))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +210,9 @@ def i_cauchy_pair_verdict(
 ) -> VerdictBundle:
     """Pair form: exists D in I with ||d(x_m, x_n)|| < eps off D."""
     _require_eps(eps)
-    if m.gap_profile is not None and s.tail_model is not None:
-        found = s.tail_model.pair_verdict(s, m.gap_profile, ideal, eps, n_max)
-        if found is not None:
-            return VerdictBundle(Question.ICAUCHY_PAIR, eps, **found)
+    found = s.tail_model.pair_verdict(s, m.gap_profile, ideal, eps, n_max)
+    if found is not None:
+        return VerdictBundle(Question.ICAUCHY_PAIR, eps, **found)
     if _floor_defeats(s, m, eps):
         return VerdictBundle(
             Question.ICAUCHY_PAIR, eps,
@@ -263,11 +238,6 @@ def i_cauchy_ek_verdict(
 ) -> VerdictBundle:
     """E_k form: the set K = {k : E_k(eps) not in I} must itself be in I."""
     _require_eps(eps)
-    if m.gap_profile is None or s.tail_model is None:
-        return VerdictBundle(
-            Question.ICAUCHY_EK, eps,
-            Verdict(UNKNOWN, "no gap profile / tail model"),
-        )
     split = s.center_classes(m.gap_profile, eps, n_max)
     decisions = [v.decision for v in
                  s.class_verdicts(m.gap_profile, ideal, eps, n_max)]
@@ -363,10 +333,6 @@ def _i_star_verdict(
         else:
             text = "witness filter membership undecided"
         found = dict(verdict=Verdict(fm.decision, text))
-    elif m.gap_profile is None or s.tail_model is None:
-        found = dict(verdict=Verdict(
-            UNKNOWN, "no gap profile / tail model" if pairs
-            else "no tail analytics"))
     else:
         found = s.tail_model.istar(s, m.gap_profile, witness_m, eps, n_max,
                                    limit)
@@ -404,16 +370,18 @@ def i_star_convergence_verdict(
 # ---------------------------------------------------------------------------
 # I*-witness under property (AP) (I-Cauchy to I*-Cauchy bridge)
 
+# The (AP) witness needs the definition form In at eps = 1/k, k <= AP_PROBES.
+AP_PROBES = 10
+
 
 def istar_witness_from_ap(
     s: SequenceScenario,
     m: CstarMetric,
     ideal: IdealDescriptor,
     n_max: int,
-    probe_count: int = 10,
 ) -> SetDescription:
     """The I*-Cauchy witness P of the (AP) lemma, once the definition form
-    certifies the sequence I-Cauchy at eps = 1/k for k <= ``probe_count``.
+    certifies the sequence I-Cauchy at eps = 1/k for k <= ``AP_PROBES``.
 
     For each k the set B_k = {n : ||d(x_n, x_{m_k})|| < 1/k} lies in the
     dual filter, and (AP) gives P in F(I) with every P \\ B_k finite.  Under
@@ -424,7 +392,7 @@ def istar_witness_from_ap(
         raise UnsupportedOperationError(
             f"ideal {ideal.name!r} lacks property (AP); no witness construction"
         )
-    for k in range(1, probe_count + 1):
+    for k in range(1, AP_PROBES + 1):
         bundle = i_cauchy_def_verdict(s, m, ideal, 1.0 / k, n_max)
         if bundle.decision is not IN:
             raise PreconditionError(
@@ -442,7 +410,6 @@ def counterexample_audit(
     l_max: int,
     n_max: int,
     metric: CstarMetric,
-    scenario: Optional[SequenceScenario] = None,
 ) -> dict:
     """Reproduce the block-partition counterexample: the block-harmonic
     sequence is I-Cauchy for the block ideal yet defeats every I*-witness.
@@ -453,9 +420,9 @@ def counterexample_audit(
     """
     if n_max < 2 ** (l_max + 2):
         raise DomainError(f"window {n_max} too small for l_max={l_max}")
-    s = scenario or make_block_harmonic()
+    s = make_block_harmonic()
     gp = metric.gap_profile
-    if gp is None or gp.kind is not GapKind.LINEAR:
+    if gp.kind is not GapKind.LINEAR:
         raise PreconditionError("counterexample audit needs a linear metric")
     scale = gp.scale
     ideal = IdealDescriptor.block()
@@ -568,8 +535,7 @@ def _implication_row(s, ideal, m, eps, n_max) -> dict:
                 violations.append(f"{label}: B(2eps) not within A(eps)")
 
     istar_witnesses = [SetDescription.full(n_max)]
-    if (s.tail_model is not None and s.tail_model.blockwise
-            and ideal.kind is IdealKind.BLOCK):
+    if s.tail_model.blockwise and ideal.kind is IdealKind.BLOCK:
         for l in (1, 2, 3):
             istar_witnesses.append(
                 block_union(range(1, l + 1), n_max).complement()

@@ -137,19 +137,17 @@ class GapProfile:
 
 @dataclass(frozen=True, eq=False)
 class CstarMetric:
-    """A C*-algebra valued metric d : R x R -> A."""
+    """A C*-algebra valued metric d : R x R -> A, whose distance norm is
+    ``gap_profile`` of the separation |x - y|."""
 
     algebra: AlgebraDescriptor
     name: str
     eval_fn: Callable[[float, float], AlgebraElement]
+    gap_profile: GapProfile
     norm_formula: Optional[Callable[[float, float], float]] = None
-    gap_profile: Optional[GapProfile] = None
 
     def eval(self, x: float, y: float) -> AlgebraElement:
         return self.eval_fn(x, y)
-
-    def to_json(self):
-        return {"name": self.name}
 
 
 def distance_norm(
@@ -277,15 +275,6 @@ class MetricAxiomReport:
 
     def all_pass(self) -> bool:
         return self.axiom_i_pass and self.axiom_ii_pass and self.axiom_iii_pass
-
-    def to_json(self):
-        return {
-            "axiom_i_pass": self.axiom_i_pass,
-            "axiom_ii_pass": self.axiom_ii_pass,
-            "axiom_iii_pass": self.axiom_iii_pass,
-            "worst_violation": self.worst_violation,
-            "witness_triples": [list(w) for w in self.witness_triples],
-        }
 
 
 def verify_axioms(

@@ -49,9 +49,6 @@ class CstarNorm:
             return self.scalar_formula(x)
         return op_norm(self.eval(x))
 
-    def to_json(self):
-        return {"name": self.name}
-
 
 # ---------------------------------------------------------------------------
 # Built-ins
@@ -93,16 +90,15 @@ def make_real_abs_norm() -> CstarNorm:
 
 # Built-in norms by configuration name, in listing order.
 NORMS = {
-    "scaled-diag": lambda a=1.0, b=2.0, **_: make_scaled_diag_norm(
-        float(a), float(b)),
-    "real-abs": lambda **p: make_real_abs_norm(),
+    "scaled-diag": lambda: make_scaled_diag_norm(1.0, 2.0),
+    "real-abs": make_real_abs_norm,
 }
 
 
-def norm_by_name(name: str, **params) -> CstarNorm:
+def norm_by_name(name: str) -> CstarNorm:
     if name not in NORMS:
         raise DomainError(f"unknown norm {name!r}")
-    return NORMS[name](**params)
+    return NORMS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -121,27 +117,24 @@ class NormAxiomReport:
         return (self.definiteness_pass and self.homogeneity_pass
                 and self.triangle_pass)
 
-    def to_json(self):
-        return {
-            "definiteness_pass": self.definiteness_pass,
-            "homogeneity_pass": self.homogeneity_pass,
-            "triangle_pass": self.triangle_pass,
-            "worst_violation": self.worst_violation,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
+
+# The scalars homogeneity is checked at, by the norm and invariance audits.
+NORM_SCALARS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+INVARIANCE_SCALARS = (-2.0, 0.5, 2.0, 3.0)
+# The shifts translation invariance is checked at.
+INVARIANCE_SHIFTS = (-1.5, 1.0, 2.0)
 
 
 def verify_norm_axioms(
     nrm: CstarNorm,
     samples: Sequence[float],
-    scalars: Sequence[float] = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0),
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> NormAxiomReport:
-    """Check definiteness, absolute homogeneity and subadditivity over the
-    sample points; failures are reported with witnesses, not raised.  The
-    positivity of every ||x||_A, and subadditivity
-    ||x + y||_A <= ||x||_A + ||y||_A over every pair x < y, are each one
-    stacked ``positivity_rule`` call."""
+    """Check definiteness, absolute homogeneity (at ``NORM_SCALARS``) and
+    subadditivity over the sample points; failures are reported with
+    witnesses, not raised.  The positivity of every ||x||_A, and
+    subadditivity ||x + y||_A <= ||x||_A + ||y||_A over every pair x < y,
+    are each one stacked ``positivity_rule`` call."""
     pts = sorted(set(float(s) for s in samples))
     if len(pts) < 2:
         raise PreconditionError("need at least 2 distinct sample points")
@@ -164,7 +157,7 @@ def verify_norm_axioms(
         if x != 0.0 and norm <= tol.norm_tol:
             ok_def = False
             witnesses.append((x,))
-        for lam in scalars:
+        for lam in NORM_SCALARS:
             lhs = nrm.eval(lam * x)
             rhs = abs(lam) * nx
             dev = float(np.max(np.abs(lhs.entries - rhs.entries)))
@@ -215,24 +208,15 @@ class InvarianceReport:
     homogeneity_pass: bool
     witnesses: tuple
 
-    def to_json(self):
-        return {
-            "metric_name": self.metric_name,
-            "translation_pass": self.translation_pass,
-            "homogeneity_pass": self.homogeneity_pass,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
-
 
 def invariance_audit(
     metric: CstarMetric,
     samples: Sequence[float],
-    shifts: Sequence[float] = (-1.5, 1.0, 2.0),
-    scalars: Sequence[float] = (-2.0, 0.5, 2.0, 3.0),
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> InvarianceReport:
-    """Check translation invariance D(x+z, y+z) = D(x, y) and homogeneity
-    D(ax, ay) = |a| D(x, y) over the sample grid.
+    """Check translation invariance D(x+z, y+z) = D(x, y) for z in
+    ``INVARIANCE_SHIFTS`` and homogeneity D(ax, ay) = |a| D(x, y) for a in
+    ``INVARIANCE_SCALARS`` over the sample grid.
 
     Induced metrics satisfy both; the discrete metric fails homogeneity,
     which is exactly why no norm induces it.
@@ -242,13 +226,13 @@ def invariance_audit(
     witnesses: list[tuple] = []
     for x, y in permutations(pts, 2):
         base = metric.eval(x, y)
-        for z in shifts:
+        for z in INVARIANCE_SHIFTS:
             shifted = metric.eval(x + z, y + z)
             dev = float(np.max(np.abs(shifted.entries - base.entries)))
             if dev > tol.norm_tol * (1.0 + op_norm(base)):
                 ok_trans = False
                 witnesses.append(("translation", x, y, z))
-        for lam in scalars:
+        for lam in INVARIANCE_SCALARS:
             scaled = metric.eval(lam * x, lam * y)
             target = abs(lam) * base
             dev = float(np.max(np.abs(scaled.entries - target.entries)))
@@ -290,16 +274,6 @@ class NormConvergenceBundle:
     certificate: str
     witness_index: Optional[int] = None
 
-    def to_json(self):
-        out = {
-            "epsilon": self.epsilon,
-            "decision": self.decision.value,
-            "certificate": self.certificate,
-        }
-        if self.witness_index is not None:
-            out["witness_index"] = self.witness_index
-        return out
-
 
 def norm_convergence_verdict(
     s: SequenceScenario,
@@ -318,7 +292,7 @@ def norm_convergence_verdict(
         raise DomainError("eps must be positive")
     model = s.tail_model
     slope = op_norm(nrm.eval(1.0))
-    if model is not None and model.blockwise:
+    if model.blockwise:
         jprobe = probe_depth(n_max)
         js = np.arange(1, jprobe + 1)
         far = np.flatnonzero(slope * np.abs(model.value(js) - limit) >= eps)
@@ -332,12 +306,6 @@ def norm_convergence_verdict(
     else:
         norms = slope * np.abs(s.points(n_max) - limit)
         offending = np.nonzero(norms >= eps)[0]
-        if model is None:
-            return NormConvergenceBundle(
-                eps, Decision.UNKNOWN,
-                "no convergent tail model" if offending.size
-                else "window clean but tail uncertified",
-            )
         lo, hi = model.interval(n_max)
     tail_worst = slope * max(abs(lo - limit), abs(hi - limit))
     if tail_worst >= eps:

@@ -190,11 +190,11 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def build_metric(name: str, **params) -> CstarMetric:
+def build_metric(name: str) -> CstarMetric:
     """Metric registry including the induced metrics."""
     if name.startswith("induced:"):
-        return induce_metric(norm_by_name(name.split(":", 1)[1], **params))
-    return metric_by_name(name, **params)
+        return induce_metric(norm_by_name(name.split(":", 1)[1]))
+    return metric_by_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def build_metric(name: str, **params) -> CstarMetric:
 
 def _format_float(x: float) -> str:
     if x != x:
-        return "NaN"
+        return '"NaN"'
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     if x == int(x) and abs(x) < 1e16:
@@ -245,8 +245,6 @@ def stable_dumps(obj, indent: int = 0) -> str:
             )
         inner = ",\n".join(items)
         return f"{{\n{inner}\n{pad}}}"
-    if hasattr(obj, "to_json"):
-        return stable_dumps(obj.to_json(), indent)
     raise ConfigError(f"cannot serialize {type(obj).__name__}")
 
 

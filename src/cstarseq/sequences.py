@@ -392,20 +392,16 @@ class BlockTail:
             for j, tail in enumerate(
                 self._center_tails(gp, vals, eps, depths, glo, ghi), 1)
         ]
-        codes = gp.interval_status_codes(glo[:, 0], ghi[:, 0], eps,
-                                         np.zeros(jprobe, dtype=bool))
-        quiet, loud, mixed = ((np.flatnonzero(codes == k) + 1).tolist()
-                              for k in range(3))
-        far_status = _status_over(gp, *self.value_interval(jprobe), eps,
-                                  True)
-        if far_status == MIXED:
-            tails = ()
-        elif far_status == NONE:
+        # Each far value recurs, so a zero gap keeps the far pair status off
+        # ALL: the far class is block-bounded or undecided.
+        tails = ()
+        if self.pair_status(s, gp, jprobe, eps) == NONE:
+            codes = gp.interval_status_codes(glo[:, 0], ghi[:, 0], eps,
+                                             np.zeros(jprobe, dtype=bool))
+            loud, mixed = ((np.flatnonzero(codes == k) + 1).tolist()
+                           for k in (1, 2))
             tails = (TailCertificate.block_bounded(loud),
                      TailCertificate.block_bounded(loud + mixed))
-        else:
-            tails = (TailCertificate.block_cobounded(quiet + mixed),
-                     TailCertificate.block_cobounded(quiet))
         classes.append(CenterClass(
             None, None, tails,
             TailCertificate.block_cobounded(range(1, jprobe + 1)),
@@ -593,7 +589,7 @@ class SequenceScenario:
 
     name: str
     generator: Callable[[int], float]
-    tail_model: Optional[TailModel]
+    tail_model: TailModel
     point_bounds: tuple               # (lo, hi) containing every x_n
     injective: bool
     nominal_limit: Optional[float] = None
@@ -660,7 +656,7 @@ class SequenceScenario:
         each point is its block's value, bit for bit, and ``norm_of_gaps``
         maps each gap on its own (scale * g, scale / g or a constant)."""
         model = self.tail_model
-        if model is not None and model.blockwise:
+        if model.blockwise:
             js = np.arange(1, max_block_index(n_max) + 1)
             hits = gp.norm_of_gaps(np.abs(model.value(js) - c)) >= eps
             return block_mask(set(js[hits].tolist()), n_max)
@@ -676,12 +672,6 @@ class SequenceScenario:
         if gp.kind is GapKind.DISCRETE:
             return gp.scale
         return None  # linear norms vanish on nearby points
-
-    def to_json(self):
-        return {"name": self.name}
-
-    def __hash__(self):
-        return hash(self.name)
 
 
 # ---------------------------------------------------------------------------

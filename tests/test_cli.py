@@ -1,12 +1,15 @@
 """CLI and reporting: exit codes, config handling, deterministic JSON."""
 
 import json
+import math
 
 import pytest
 
-from cstarseq import reporting
+from cstarseq import cli, reporting
 from cstarseq.cli import main
-from cstarseq.errors import ConfigError
+from cstarseq.convergence import Question, VerdictBundle
+from cstarseq.errors import ConfigError, InternalConsistencyError
+from cstarseq.ideals import Decision, Verdict
 from cstarseq.reporting import (
     RunConfig,
     audit_json,
@@ -33,6 +36,19 @@ class TestStableDumps:
     def test_deterministic(self):
         payload = {"x": [0.3, {"z": 1e-17, "a": -2.5}], "y": "s"}
         assert stable_dumps(payload) == stable_dumps(dict(payload))
+
+    def test_non_finite_floats_and_empty_containers(self):
+        doc = stable_dumps({"nan": math.nan, "inf": math.inf,
+                            "-inf": -math.inf, "obj": {}, "list": []})
+        assert doc == ('{\n  "-inf": "-Infinity",\n  "inf": "Infinity",\n'
+                       '  "list": [],\n  "nan": "NaN",\n  "obj": {}\n}')
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} is not strict JSON")
+
+        assert json.loads(doc, parse_constant=reject) == {
+            "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+            "obj": {}, "list": []}
 
 
 class TestRunConfig:
@@ -158,6 +174,28 @@ class TestCliMain:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_unreadable_config_file_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file")
+
+    def test_config_file_holding_a_list_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_library_error_is_one_error_line(self, capsys, monkeypatch):
+        def failing(config):
+            raise InternalConsistencyError("routes disagree")
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert main(["run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: routes disagree\n"
+
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
@@ -241,6 +279,22 @@ class TestConfigPath:
         monkeypatch.setattr(reporting, "i_cauchy_pair_verdict", counting)
         run(RunConfig(eps_list=(0.1, 0.01, 0.001), window=64))
         assert seen == [0.1, 0.01, 0.001]
+
+    def test_disagreeing_criteria_exit_one(self, monkeypatch, capsys):
+        # The pair form is made to answer NotIn where the definition and
+        # E_k forms answer In.
+        def refuting(s, m, ideal, eps, n_max):
+            return VerdictBundle(Question.ICAUCHY_PAIR, eps,
+                                 Verdict(Decision.NOT_IN, "patched"))
+
+        monkeypatch.setattr(reporting, "i_cauchy_pair_verdict", refuting)
+        report = run(RunConfig(eps_list=(0.1,), window=64))
+        assert report.exit_code == 1
+        assert report.conflicts == ({"epsilon": 0.1, "decisions": {
+            "i_cauchy_definition": "in", "i_cauchy_pair": "not_in",
+            "i_cauchy_ek": "in"}},)
+        assert main(["run", "--eps", "0.1", "--window", "64"]) == 1
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 1
 
     def test_table_keeps_whole_certificates(self):
         report = run(RunConfig(scenario="block-harmonic", metric="scaled",

@@ -11,9 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cstarseq import convergence
 from cstarseq.convergence import (
     Index,
     Point,
+    Question,
+    VerdictBundle,
     a_epsilon_set,
     cauchy_criteria_cross_check,
     counterexample_audit,
@@ -35,7 +38,9 @@ from cstarseq.ideals import (
     Decision,
     IdealDescriptor,
     SetDescription,
+    TailCertificate,
     TailKind,
+    Verdict,
     block_index,
     block_union,
     filter_membership,
@@ -495,6 +500,48 @@ class TestIStar:
         b = i_star_cauchy_verdict(make_alternating(), m, FIN, full, 0.5, 512)
         assert b.decision is Decision.NOT_IN
 
+    def test_block_istar_convergence_in_past_the_listed_blocks(self):
+        # Blocks 1 and 2 hold 1.0 and 0.5, every later block the limit 0;
+        # the witness drops blocks 1 and 2, so the kept blocks sit on the
+        # limit from block 3 on.
+        s = _eventually_constant_blocks([1.0, 0.5], 0.0)
+        w = block_union(range(1, 3), 1024).complement()
+        b = i_star_convergence_verdict(s, make_diag_metric(0.5), BLK, 0.0, w,
+                                       0.1, 1024)
+        assert b.decision is Decision.IN
+        assert b.verdict.certificate == ("all active blocks within eps of "
+                                         "the limit")
+        assert b.cut_index == 3
+
+    def test_block_istar_convergence_far_blocks_undecided(self):
+        # The witness drops every probed block, and the blocks beyond them
+        # take values in [0, 1/65], whose scaled distances to 0 straddle
+        # eps = 1e-3.
+        m = make_scaled_function_metric(default_function_f(2.0, 64))
+        w = block_union(range(1, 65), 4096).complement()
+        assert filter_membership(BLK, w).decision is Decision.IN
+        b = i_star_convergence_verdict(BLOCK_SEQ, m, BLK, 0.0, w, 1e-3, 4096)
+        assert b.decision is Decision.UNKNOWN
+        assert b.verdict.certificate == "far blocks undecided"
+
+    def test_istar_convergence_quotes_the_filter_certificate(self):
+        finite = SetDescription(frozenset({1, 2}), 256,
+                                TailCertificate.finite())
+        fm = filter_membership(FIN, finite)
+        assert fm.decision is Decision.NOT_IN
+        b = i_star_convergence_verdict(HARMONIC, make_diag_metric(0.5), FIN,
+                                       0.0, finite, 0.1, 256)
+        assert b.decision is Decision.NOT_IN
+        assert b.verdict.certificate == ("witness filter membership: "
+                                         + fm.certificate)
+
+    def test_istar_cauchy_witness_of_unknown_tail_is_undecided(self):
+        w = SetDescription(frozenset({1}), 256, TailCertificate.unknown())
+        b = i_star_cauchy_verdict(HARMONIC, make_diag_metric(0.5), FIN, w,
+                                  0.1, 256)
+        assert b.decision is Decision.UNKNOWN
+        assert b.verdict.certificate == "witness filter membership undecided"
+
 
 class TestApWitnessRoute:
     def test_fin_witness_certifies_istar(self):
@@ -578,6 +625,35 @@ class TestImplicationAudit:
         rep = implication_audit(scens, (FIN, BLK), mets, (1.0, 0.1, 0.01),
                                 1024)
         assert rep["consistent"], rep["violations"]
+
+    def test_disagreeing_engines_are_reported(self, monkeypatch):
+        # The pair form is made to answer NotIn where the definition form
+        # answers In: the cross-check lists the cell, and every implication
+        # the row checks against I-Cauchy reports a violation.
+        m = make_diag_metric(0.5)
+
+        def refuting(s, m, ideal, eps, n_max):
+            return VerdictBundle(Question.ICAUCHY_PAIR, eps,
+                                 Verdict(Decision.NOT_IN, "patched"))
+
+        monkeypatch.setattr(convergence, "i_cauchy_pair_verdict", refuting)
+        cc = cauchy_criteria_cross_check(HARMONIC, m, FIN, (1.0, 0.1), 512)
+        assert not cc["consistent"]
+        assert cc["conflicts"] == cc["cells"]
+        assert cc["conflicts"][1] == {"epsilon": 0.1, "decisions": {
+            "definition": "in", "pair": "not_in", "ek": "in"}}
+        monkeypatch.setattr(convergence, "_proof_inclusion_holds",
+                            lambda *args: False)
+        rep = implication_audit([HARMONIC], [FIN], [m], [0.1], 512)
+        label = f"harmonic/fin/{m.name}/eps=0.1"
+        assert not rep["consistent"]
+        assert rep["violations"] == [
+            f"{label}: I-Cauchy criteria conflict",
+            f"{label}: IConv=In but ICauchy=NotIn",
+            f"{label}: B(2eps) not within A(eps)",
+            f"{label}: IStarCauchy=In but ICauchy=NotIn",
+            f"{label}: IStarConv=In but ICauchy=NotIn",
+        ]
 
     def test_row_shape(self):
         rep = implication_audit([HARMONIC], [FIN],

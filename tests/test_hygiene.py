@@ -9,6 +9,10 @@
 * Every private top-level function or class of the package is used
   somewhere in the package outside its own body: tests alone do not keep a
   helper alive.
+* Every defaulted parameter and every ``**kwargs`` of a public function or
+  method of the package is passed by some call in the package, the tests or
+  the bench harness: a knob no caller turns is a constant.  ``tol`` is
+  exempt, since every predicate shares the ``ToleranceProfile`` convention.
 """
 
 import ast
@@ -21,6 +25,7 @@ import cstarseq
 PACKAGE = Path(cstarseq.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+BENCH_FILES = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
 TAIL_MODELS = {"ConvergentTail", "BlockTail"}
 
 
@@ -99,3 +104,62 @@ def test_private_top_level_definitions_have_callers_in_the_package(path):
             if node.name not in used:
                 uncalled.append(node.name)
     assert uncalled == []
+
+
+def _public_functions():
+    """(qualified name, def, positional offset) of each public top-level
+    function and each public method of a public top-level class; the offset
+    skips a method's ``self`` or ``cls``."""
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                yield f"{path.stem}.{node.name}", node, 0
+            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name[0] != "_":
+                        static = any("staticmethod" in _names_in(d)
+                                     for d in fn.decorator_list)
+                        yield (f"{path.stem}.{node.name}.{fn.name}", fn,
+                               0 if static else 1)
+
+
+def _knobs(fn: ast.FunctionDef, offset: int):
+    """(label, passes) for each defaulted parameter and the ``**kwargs`` of
+    ``fn``, ``passes(call)`` telling whether a call sets it: by keyword, by
+    position, or through ``*``/``**``."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    for i, p in enumerate(positional[first:], first - offset):
+        yield p.arg, lambda c, name=p.arg, i=i: (
+            i < len(c.args) or any(isinstance(x, ast.Starred) for x in c.args)
+            or any(k.arg in (name, None) for k in c.keywords))
+    for p, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield p.arg, lambda c, name=p.arg: any(
+                k.arg in (name, None) for k in c.keywords)
+    if a.kwarg is not None:
+        named = {p.arg for p in positional + a.kwonlyargs}
+        yield "**" + a.kwarg.arg, lambda c: any(
+            k.arg is None or k.arg not in named for k in c.keywords)
+
+
+def test_every_public_default_and_kwargs_is_passed_by_some_call():
+    calls = {}  # callee name (the last dotted part) -> its calls
+    for path in MODULES + TEST_FILES + BENCH_FILES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node.func), []).append(node)
+    unturned = [
+        f"{qualname}({label})"
+        for qualname, fn, offset in _public_functions()
+        for label, passes in _knobs(fn, offset)
+        if label != "tol" and not any(map(passes, calls.get(fn.name, [])))
+    ]
+    assert unturned == []
+
+
+def _callee(func: ast.expr):
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None

@@ -177,6 +177,7 @@ class TestBuiltinMetrics:
         base = make_diag_metric(1.0)
         broken = CstarMetric(
             algebra=base.algebra, name="broken", eval_fn=base.eval_fn,
+            gap_profile=base.gap_profile,
             norm_formula=lambda x, y: 3.0 * abs(x - y) + 1.0,
         )
         with pytest.raises(InternalConsistencyError):
@@ -245,6 +246,7 @@ class TestAxiomVerification:
         m = CstarMetric(
             algebra=base.algebra, name="skewed",
             eval_fn=lambda x, y: base.eval(x, y) * (-1.0 if x < y else 1.0),
+            gap_profile=base.gap_profile,
         )
         rep = verify_axioms(m, self.PTS)
         assert not rep.axiom_i_pass and not rep.axiom_ii_pass
@@ -255,7 +257,8 @@ class TestAxiomVerification:
     def test_overflowing_triangle_raises(self):
         base = make_diag_metric(0.5)
         m = CstarMetric(algebra=base.algebra, name="huge",
-                        eval_fn=lambda x, y: base.eval(x, y) * 1e307)
+                        eval_fn=lambda x, y: base.eval(x, y) * 1e307,
+                        gap_profile=base.gap_profile)
         with np.errstate(over="ignore"), pytest.raises(StructuralError):
             verify_axioms(m, (0.0, 10.0, 20.0))
 
@@ -265,7 +268,8 @@ class TestAxiomVerification:
         zero = matrix_element(np.zeros((2, 2)))
         huge = matrix_element([[0.0, 1e308], [0.0, 0.0]])
         m = CstarMetric(algebra=base.algebra, name="skew-huge",
-                        eval_fn=lambda x, y: zero if x == y else huge)
+                        eval_fn=lambda x, y: zero if x == y else huge,
+                        gap_profile=base.gap_profile)
         with np.errstate(over="ignore"), pytest.raises(StructuralError):
             verify_axioms(m, (0.0, 10.0, 20.0))
 
@@ -278,6 +282,7 @@ class TestAxiomVerification:
         m = CstarMetric(
             algebra=base.algebra, name="looped",
             eval_fn=lambda x, y: loop if x == y else base.eval(x, y),
+            gap_profile=base.gap_profile,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -290,7 +295,8 @@ class TestAxiomVerification:
 
     def test_values_outside_the_algebra_rejected(self):
         m = CstarMetric(algebra=make_diag_metric(0.5).algebra, name="off",
-                        eval_fn=lambda x, y: const_function(abs(x - y), 8))
+                        eval_fn=lambda x, y: const_function(abs(x - y), 8),
+                        gap_profile=GapProfile(GapKind.LINEAR))
         with pytest.raises(StructuralError):
             verify_axioms(m, self.PTS)
 
@@ -299,6 +305,7 @@ class TestAxiomVerification:
         broken = CstarMetric(
             algebra=base.algebra, name="zero",
             eval_fn=lambda x, y: base.algebra.zero(),
+            gap_profile=base.gap_profile,
         )
         rep = verify_axioms(broken, self.PTS)
         assert not rep.axiom_i_pass  # definiteness fails
